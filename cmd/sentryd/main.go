@@ -67,7 +67,7 @@ func main() {
 	listen := flag.String("listen", ":9100", "push intake address (POST /push, GET /healthz)")
 	obsListen := flag.String("obs-listen", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
 	shards := flag.Int("shards", 4, "shard router worker queues")
-	batchWindows := flag.Int("batch-windows", 0, "batch up to this many scoring windows across nodes into one stacked model invocation (0 or 1 = sequential; scores are byte-identical either way)")
+	batchWindows := flag.Int("batch-windows", 0, "windows a scoring lane queues before scoring them, same-cluster ones as one stacked model invocation (0 or 1 = score each window as it completes; scores are byte-identical at every value)")
 	queue := flag.Int("queue", 256, "per-shard queue capacity")
 	policy := flag.String("policy", "block", "backpressure policy: block | drop-oldest")
 	scrapeTargets := flag.String("scrape-targets", "", "comma-separated /metrics URLs to poll (empty disables pull mode)")

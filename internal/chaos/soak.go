@@ -44,9 +44,9 @@ type Config struct {
 	// Cycles is how many full drift→retrain→shadow→swap cycles to run
 	// (default 1; the nightly soak runs several).
 	Cycles int
-	// BatchWindows forwards to the daemon's monitor: > 1 scores that many
-	// windows per stacked model invocation. The nightly soak forces it on
-	// so the batched path sees chaos at full depth.
+	// BatchWindows forwards to the daemon's monitor: how many windows a
+	// scoring lane queues per flush (0 or 1: a batch of one). The nightly
+	// soak sets it to 4 so multi-window flushes see chaos at full depth.
 	BatchWindows int
 	// RecallFloor is the minimum fault recall over the clean-phase
 	// window (default 0.2) — chaos may cost detection latency, but the

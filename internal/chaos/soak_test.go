@@ -135,9 +135,9 @@ func TestSoakLong(t *testing.T) {
 		Det:          det,
 		TrainOptions: fastOptions(),
 		Cycles:       3,
-		// The nightly soak runs with the batched scoring path forced on:
-		// equivalence tests pin batched == sequential byte-for-byte, and
-		// this keeps the batcher's locking honest under chaos + -race.
+		// The nightly soak runs with multi-window batches: equivalence
+		// tests pin every BatchWindows value byte-for-byte, and this keeps
+		// the scoring lanes' locking honest under chaos + -race.
 		BatchWindows: 4,
 	})
 	if err != nil {

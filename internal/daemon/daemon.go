@@ -38,13 +38,14 @@ type Config struct {
 	// trained on.
 	Layouts map[string][]string
 
-	// ScoringWorkers sizes the monitor's detector-clone pool (default 2).
+	// ScoringWorkers is the monitor's number of scoring lanes (default 2).
 	ScoringWorkers int
 	// AlertBuffer is the monitor's alert channel capacity (default 256).
 	AlertBuffer int
-	// BatchWindows, when > 1, batches that many post-transition windows
-	// across nodes into one stacked model invocation (see runtime.Config;
-	// scores and alerts stay byte-identical to the sequential path).
+	// BatchWindows is how many windows a scoring lane queues before it
+	// scores them, same-cluster windows as one stacked model invocation;
+	// 0 or 1 scores each window as it completes (see runtime.Config;
+	// scores and alerts are byte-identical at every value).
 	BatchWindows int
 
 	// Shards / QueueSize / Policy parameterize the shard router.

@@ -192,13 +192,6 @@ func mulRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MulT returns a×bᵀ as a fresh matrix. Hot paths use MulTInto.
-func MulT(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	MulTInto(out, a, b)
-	return out
-}
-
 // MulTInto computes dst = a×bᵀ without materializing the transpose. dst is
 // fully overwritten and must not alias a or b.
 //
@@ -299,13 +292,6 @@ func tmulRange(a, b, dst *Matrix, lo, hi int) {
 	}
 }
 
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	AddTo(out, a, b)
-	return out
-}
-
 // AddTo computes dst = a+b elementwise. dst may alias a or b: every
 // element is written exactly once from same-index reads.
 //
@@ -316,13 +302,6 @@ func AddTo(dst, a, b *Matrix) {
 	for i, v := range b.Data {
 		dst.Data[i] = a.Data[i] + v
 	}
-}
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	SubTo(out, a, b)
-	return out
 }
 
 // SubTo computes dst = a-b elementwise. dst may alias a or b.
@@ -358,13 +337,6 @@ func Scale(m *Matrix, s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// Hadamard returns the elementwise product a∘b.
-func Hadamard(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	HadamardTo(out, a, b)
-	return out
 }
 
 // HadamardTo computes dst = a∘b elementwise. dst may alias a or b.

@@ -67,8 +67,10 @@ func TestMulTAndTMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randMatrix(rng, 13, 7)
 	b := randMatrix(rng, 11, 7)
-	if !matricesEqual(MulT(a, b), Mul(a, b.T()), 1e-9) {
-		t.Error("MulT mismatch")
+	ab := New(13, 11)
+	MulTInto(ab, a, b)
+	if !matricesEqual(ab, Mul(a, b.T()), 1e-9) {
+		t.Error("MulTInto mismatch")
 	}
 	c := randMatrix(rng, 13, 5)
 	if !matricesEqual(TMul(a, c), Mul(a.T(), c), 1e-9) {
@@ -108,18 +110,23 @@ func TestTransposeInvolution(t *testing.T) {
 func TestAddSubHadamard(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{10, 20}, {30, 40}})
-	if !matricesEqual(Add(a, b), FromRows([][]float64{{11, 22}, {33, 44}}), 0) {
-		t.Error("Add wrong")
+	sum := FromRows([][]float64{{11, 22}, {33, 44}})
+	dst := New(2, 2)
+	AddTo(dst, a, b)
+	if !matricesEqual(dst, sum, 0) {
+		t.Error("AddTo wrong")
 	}
-	if !matricesEqual(Sub(b, a), FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
-		t.Error("Sub wrong")
+	SubTo(dst, b, a)
+	if !matricesEqual(dst, FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
+		t.Error("SubTo wrong")
 	}
-	if !matricesEqual(Hadamard(a, b), FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
-		t.Error("Hadamard wrong")
+	HadamardTo(dst, a, b)
+	if !matricesEqual(dst, FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
+		t.Error("HadamardTo wrong")
 	}
 	c := a.Clone()
 	AddInPlace(c, b)
-	if !matricesEqual(c, Add(a, b), 0) {
+	if !matricesEqual(c, sum, 0) {
 		t.Error("AddInPlace wrong")
 	}
 }

@@ -36,7 +36,7 @@ func TestKernelsParallelSerialEquivalence(t *testing.T) {
 		tol  float64
 	}{
 		{"Mul", func() *Matrix { return Mul(a, b) }, 0},
-		{"MulT", func() *Matrix { return MulT(a, bt) }, 0},
+		{"MulTInto", func() *Matrix { out := New(a.Rows, bt.Rows); MulTInto(out, a, bt); return out }, 0},
 		{"TMul", func() *Matrix { return TMul(a, c) }, 1e-12},
 	}
 	for _, tc := range cases {

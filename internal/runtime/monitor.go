@@ -6,14 +6,17 @@
 // diagnosis attached.
 //
 // Concurrency model: collectors may call Ingest and ObserveJob from any
-// goroutine. Per-node state is guarded by a per-node mutex; the expensive
-// model invocations run on a fixed pool of detector clones (a Detector is
-// not safe for concurrent use), checked out through a buffered channel.
-// Alerts are delivered on a buffered channel; if the consumer falls behind,
-// alerts are counted as dropped rather than blocking ingestion.
+// goroutine. Per-node state is guarded by a per-node mutex. Every window
+// reaches the model the same way: it is queued on the scoring lane its
+// node is bound to and scored when that lane is flushed (see lane.go), so
+// ScoringWorkers lanes score concurrently and one node's windows stay in
+// order. Alerts are delivered on a buffered channel; if the consumer falls
+// behind, alerts are counted as dropped rather than blocking ingestion.
 package runtime
 
 import (
+	"errors"
+	"fmt"
 	"log/slog"
 	"math"
 	"sort"
@@ -23,7 +26,6 @@ import (
 
 	"nodesentry/internal/core"
 	"nodesentry/internal/diagnose"
-	"nodesentry/internal/mat"
 	"nodesentry/internal/mts"
 	"nodesentry/internal/obs"
 	"nodesentry/internal/stats"
@@ -59,7 +61,9 @@ const (
 type Config struct {
 	// Step is the sampling interval in seconds.
 	Step int64
-	// ScoringWorkers is the size of the detector-clone pool (default 2).
+	// ScoringWorkers is the number of scoring lanes, each with its own
+	// detector clone (default 2). Nodes are spread over the lanes round-
+	// robin in the order the monitor first sees them.
 	ScoringWorkers int
 	// AlertBuffer is the alert channel capacity (default 256).
 	AlertBuffer int
@@ -78,15 +82,17 @@ type Config struct {
 	// Logger, when non-nil, receives structured runtime events (job
 	// transitions at Debug, alert drops at Warn). Nil disables logging.
 	Logger *slog.Logger
-	// BatchWindows, when > 1, batches up to that many post-transition
-	// windows — across nodes sharing a cluster and detector epoch — into
-	// one stacked model invocation (core.ScoreFrameBatch). Scores and
-	// alerts are byte-identical to the sequential path; only dispatch cost
-	// changes. 0 or 1 disables batching.
+	// BatchWindows is how many windows a scoring lane lets queue up before
+	// it scores them: the queued windows that share a cluster go through
+	// the model as one stacked invocation (core.ScoreFrameBatch). 0 or 1
+	// is a batch of one — the Ingest call that completes a window scores it
+	// before returning. Scores and alerts are byte-identical at every
+	// value; only dispatch cost and latency change.
 	BatchWindows int
 	// BatchMaxDelay bounds how long a queued window may wait for batch
-	// companions before being flushed anyway (default 250 ms). Tests that
-	// need deterministic batches set it high and call Flush explicitly.
+	// companions before the next Ingest on its lane flushes it anyway
+	// (default 250 ms). Tests that need deterministic batches set it high
+	// and call Flush explicitly.
 	BatchMaxDelay time.Duration
 }
 
@@ -109,21 +115,56 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// sampleRing buffers a node's samples since its last consumed window:
+// row-major values, width values per row, plus one timestamp per row. It
+// holds the post-transition probe until the pattern is matched and the
+// partial window afterwards, so it never outgrows the longer of the two.
+type sampleRing struct {
+	width int
+	n     int // rows held
+	vals  []float64
+	ts    []int64
+}
+
+// push appends one sample, conforming it to the ring's width while writing
+// the row (a short vector is NaN-padded, a long one truncated), and reports
+// whether the vector had the registered shape. rows is the capacity to
+// grow to when the ring is full.
+func (r *sampleRing) push(ts int64, values []float64, rows int) bool {
+	if r.n == len(r.ts) {
+		rows = max(rows, 2*r.n, 1)
+		//lint:ignore hotalloc grow-once per node: the ring is sized to the longer of probe and window on first use and kept across jobs
+		vals, tss := make([]float64, rows*r.width), make([]int64, rows)
+		copy(vals, r.vals[:r.n*r.width])
+		copy(tss, r.ts[:r.n])
+		r.vals, r.ts = vals, tss
+	}
+	row := r.vals[r.n*r.width : (r.n+1)*r.width]
+	for i := copy(row, values); i < len(row); i++ {
+		row[i] = math.NaN()
+	}
+	r.ts[r.n] = ts
+	r.n++
+	return len(values) == r.width
+}
+
+// drop discards the oldest k rows, copying the remainder down.
+func (r *sampleRing) drop(k int) {
+	copy(r.vals, r.vals[k*r.width:r.n*r.width])
+	copy(r.ts, r.ts[k:r.n])
+	r.n -= k
+}
+
 // nodeState is one node's streaming context.
 type nodeState struct {
 	mu       sync.Mutex
 	node     string
+	lane     *lane // fixed at creation
 	metrics  []string
 	job      int64
 	jobStart int64
 
-	// raw sample buffer since the last scored window boundary.
-	pending [][]float64
-	pendTs  []int64
-	// probe accumulates the post-transition observation window until the
-	// pattern is matched.
-	probe   [][]float64
-	probeTs []int64
+	ring    sampleRing
 	matched bool
 	cluster int
 	// samples consumed since job start (drives job-aligned positions).
@@ -148,35 +189,6 @@ type nodeState struct {
 	// Per-node observability gauges (nil when metrics are disabled).
 	thrGauge *obs.Gauge
 	bufGauge *obs.Gauge
-
-	// frame is the node's reusable scratch for probe/window frames: the
-	// detector copies frame data during preprocessing and alert diagnosis
-	// clones on demand, so nothing downstream retains it and the matrix-
-	// backed storage grows once per shape.
-	frame     mts.NodeFrame
-	frameMat  *mat.Matrix
-	frameRows [][]float64
-}
-
-// frameInto assembles a NodeFrame from row-major samples into the node's
-// scratch storage. The returned frame is valid until the next frameInto
-// call on the same node; callers needing to retain it must Clone. Called
-// with st.mu held.
-func (st *nodeState) frameInto(rows [][]float64, start, step int64) *mts.NodeFrame {
-	M := len(st.metrics)
-	T := len(rows)
-	if st.frameMat == nil || st.frameMat.Rows < M || st.frameMat.Cols < T {
-		st.frameMat = mat.New(M, T)
-	}
-	st.frameRows = st.frameMat.RowViews(st.frameRows[:0], T)
-	data := st.frameRows[:M]
-	for t, row := range rows {
-		for m := 0; m < M; m++ {
-			data[m][t] = row[m]
-		}
-	}
-	st.frame = mts.NodeFrame{Node: st.node, Metrics: st.metrics, Data: data, Start: start, Step: step}
-	return &st.frame
 }
 
 // monMetrics holds the monitor's pre-registered metric handles so the hot
@@ -226,19 +238,14 @@ func newMonMetrics(r *obs.Registry) monMetrics {
 	}
 }
 
-// pooled is one checkout slot of the detector pool: a clone plus the epoch
-// of the generation it belongs to, so work performed with it can be
-// attributed across hot swaps.
-type pooled struct {
-	det   *core.Detector
-	epoch int64
-}
-
-// Hooks observe the monitor's hot path. All callbacks are optional; they
-// run synchronously on the ingestion goroutine — OnMatch and OnScores while
-// the node's lock is held — so they must be fast, must not call back into
-// the Monitor, and must not retain the scores slice (copy it). The
-// lifecycle drift detector and shadow scorer are the intended consumers.
+// Hooks observe the monitor's hot path. All callbacks are optional and run
+// synchronously with the node's scoring lane locked: OnMatch on the Ingest
+// call that filled the probe, OnScores and OnAlert on whichever call
+// flushed the lane (the Ingest that filled the batch, or ObserveJob,
+// SwapDetector, Flush, Close). So they must be fast, must not call back
+// into the Monitor, and must not retain the scores slice (copy it). OnMatch
+// and OnScores also run with the node's lock held. The lifecycle drift
+// detector and shadow scorer are the intended consumers.
 type Hooks struct {
 	// OnMatch fires after each pattern match with the assigned cluster,
 	// the centroid distance, and whether it fell inside the match radius.
@@ -248,7 +255,8 @@ type Hooks struct {
 	// (Unix seconds), so taps can place the scores on the fleet timeline.
 	OnScores func(node string, cluster int, start int64, scores []float64)
 	// OnAlert fires for every alert the monitor raises, including ones the
-	// alert channel then drops; it runs without node locks held.
+	// alert channel then drops, right after the OnScores of the window that
+	// raised it; the node's lock is not held.
 	OnAlert func(a Alert)
 }
 
@@ -295,8 +303,11 @@ func MergeHooks(a, b Hooks) Hooks {
 
 // Monitor is the streaming detection engine.
 type Monitor struct {
-	cfg  Config
-	pool chan pooled
+	cfg Config
+	// lanes are the scoring lanes, fixed at construction; batch is the
+	// queue length at which a lane flushes (Config.BatchWindows, at least 1).
+	lanes []*lane
+	batch int
 
 	mu    sync.Mutex
 	nodes map[string]*nodeState
@@ -305,9 +316,9 @@ type Monitor struct {
 	dropped atomic.Int64
 	// closeMu serializes deliver against Close so a send can never race a
 	// channel close: deliver holds the read side, Close the write side.
-	// SwapDetector also holds the read side while the pool is drained, so
-	// SnapshotConsistent's write-side barrier freezes both alert
-	// accounting and epoch changes at once.
+	// SwapDetector also holds the read side while it installs the new
+	// generation, so SnapshotConsistent's write-side barrier freezes both
+	// alert accounting and epoch changes at once.
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -321,11 +332,11 @@ type Monitor struct {
 
 	hooks atomic.Pointer[Hooks]
 
-	// batcher is non-nil iff Config.BatchWindows > 1; win caches the
-	// detector's window length so enqueueing needs no pool checkout
-	// (refreshed by SwapDetector).
-	batcher *windowBatcher
-	win     atomic.Int64
+	// win and probeLen cache the detector's window length and its match
+	// period in samples, so buffering a sample touches no detector; both
+	// change only under every lane's scoring lock (SwapDetector).
+	win      atomic.Int64
+	probeLen atomic.Int64
 
 	// reg is nil when observability is off; met's handles are then all
 	// nil no-ops. obsOn gates the timing reads (time.Now) the no-op
@@ -339,10 +350,17 @@ type Monitor struct {
 // NewMonitor builds a monitor around a trained detector. The detector is
 // cloned ScoringWorkers times; the original is left untouched.
 func NewMonitor(det *core.Detector, cfg Config) (*Monitor, error) {
+	if det == nil {
+		return nil, errors.New("runtime: NewMonitor needs a detector")
+	}
+	if cfg.Step <= 0 {
+		return nil, fmt.Errorf("runtime: Config.Step must be a positive sampling interval, got %d", cfg.Step)
+	}
 	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:    cfg,
-		pool:   make(chan pooled, cfg.ScoringWorkers),
+		lanes:  make([]*lane, cfg.ScoringWorkers),
+		batch:  max(cfg.BatchWindows, 1),
 		nodes:  map[string]*nodeState{},
 		alerts: make(chan Alert, cfg.AlertBuffer),
 		reg:    cfg.Metrics,
@@ -352,18 +370,21 @@ func NewMonitor(det *core.Detector, cfg Config) (*Monitor, error) {
 	}
 	m.epoch.Store(1)
 	m.met.epoch.Set(1)
-	m.win.Store(int64(det.WindowLen()))
-	if cfg.BatchWindows > 1 {
-		m.batcher = &windowBatcher{}
-	}
-	for i := 0; i < cfg.ScoringWorkers; i++ {
+	m.cacheLengths(det)
+	for i := range m.lanes {
 		clone, err := det.Clone()
 		if err != nil {
 			return nil, err
 		}
-		m.pool <- pooled{det: clone, epoch: 1}
+		m.lanes[i] = &lane{det: clone, epoch: 1}
 	}
 	return m, nil
+}
+
+// cacheLengths refreshes win and probeLen from det.
+func (m *Monitor) cacheLengths(det *core.Detector) {
+	m.win.Store(int64(det.WindowLen()))
+	m.probeLen.Store(max(det.MatchPeriodSec()/m.cfg.Step, 2))
 }
 
 // SetHooks installs (or, with a zero Hooks, clears) the observation hooks.
@@ -394,14 +415,15 @@ func (m *Monitor) Tap(h Hooks) {
 func (m *Monitor) Epoch() int64 { return m.epoch.Load() }
 
 // SwapDetector atomically replaces the monitor's detector with det (hot
-// swap): it clones det for every pool slot, waits for in-flight scoring to
-// finish, and installs the new generation. No window is dropped or scored
-// twice — a window is scored by exactly one generation, and alerts carry
-// the epoch that scored them. The returned duration is the pause: the time
-// the pool was unavailable to ingestion (cloning happens before the pause
+// swap): it clones det for every lane, then holds every lane's scoring lock
+// (taken in index order) while it scores what is still queued with the
+// outgoing generation and installs the new one. No window is dropped or
+// scored twice — a window is scored by exactly one generation, and alerts
+// carry the epoch that scored them. The returned duration is the pause: how
+// long the lanes were being taken and held (cloning happens before it
 // begins). The old clones are discarded; the caller keeps det.
 func (m *Monitor) SwapDetector(det *core.Detector) (time.Duration, error) {
-	clones := make([]*core.Detector, m.cfg.ScoringWorkers)
+	clones := make([]*core.Detector, len(m.lanes))
 	for i := range clones {
 		c, err := det.Clone()
 		if err != nil {
@@ -411,24 +433,7 @@ func (m *Monitor) SwapDetector(det *core.Detector) (time.Duration, error) {
 	}
 	m.swapMu.Lock()
 	defer m.swapMu.Unlock()
-	// Score queued batched windows with the outgoing generation before the
-	// pool drains, so no window straddles the swap. Must run before taking
-	// closeMu's read side: the flush's alert deliveries acquire it too.
-	m.Flush()
-	m.closeMu.RLock()
-	defer m.closeMu.RUnlock()
-	start := time.Now()
-	// Drain every slot: each in-flight Ingest returns its checkout without
-	// needing any lock this goroutine holds, so this always completes.
-	for i := 0; i < m.cfg.ScoringWorkers; i++ {
-		<-m.pool
-	}
-	epoch := m.epoch.Add(1)
-	m.win.Store(int64(det.WindowLen()))
-	for _, c := range clones {
-		m.pool <- pooled{det: c, epoch: epoch}
-	}
-	pause := time.Since(start)
+	epoch, pause := m.install(det, clones)
 	m.seq.Add(1)
 	m.met.swaps.Inc()
 	m.met.epoch.Set(float64(epoch))
@@ -437,6 +442,30 @@ func (m *Monitor) SwapDetector(det *core.Detector) (time.Duration, error) {
 		m.log.Info("detector swapped", "epoch", epoch, "pause", pause)
 	}
 	return pause, nil
+}
+
+// install is SwapDetector's critical section. The leftover flushes run
+// before closeMu's read side is taken: their alert deliveries acquire it
+// too, and a read lock must not be re-entered.
+func (m *Monitor) install(det *core.Detector, clones []*core.Detector) (epoch int64, pause time.Duration) {
+	start := time.Now()
+	for _, ln := range m.lanes {
+		ln.mu.Lock()
+		ln.flushLocked(m)
+	}
+	defer func() {
+		for _, ln := range m.lanes {
+			ln.mu.Unlock()
+		}
+	}()
+	m.closeMu.RLock()
+	defer m.closeMu.RUnlock()
+	epoch = m.epoch.Add(1)
+	m.cacheLengths(det)
+	for i, ln := range m.lanes {
+		ln.det, ln.epoch = clones[i], epoch
+	}
+	return epoch, time.Since(start)
 }
 
 // Alerts returns the alert stream.
@@ -451,7 +480,7 @@ func (m *Monitor) state(node string) *nodeState {
 	defer m.mu.Unlock()
 	st, ok := m.nodes[node]
 	if !ok {
-		st = &nodeState{node: node, cluster: -1, job: mts.IdleJobID}
+		st = &nodeState{node: node, cluster: -1, job: mts.IdleJobID, lane: m.lanes[len(m.nodes)%len(m.lanes)]}
 		if m.obsOn {
 			st.thrGauge = m.reg.Gauge("nodesentry_threshold_value", "node", node)
 			st.bufGauge = m.reg.Gauge("nodesentry_node_buffered", "node", node)
@@ -470,21 +499,18 @@ func (m *Monitor) ObserveJob(node string, job int64, start int64) {
 		m.log.Debug("job transition", "node", node, "job", job, "start", start)
 	}
 	st := m.state(node)
-	// Score any batched windows of the outgoing job before its state is
-	// reset, so their scores land in the job that produced them.
-	m.Flush()
+	// Score the outgoing job's queued windows before its state is reset, so
+	// their scores land in the job that produced them.
+	st.lane.flush(m)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.job = job
 	st.jobStart = start
-	st.pending = nil
-	st.pendTs = nil
-	st.probe = nil
-	st.probeTs = nil
+	st.ring.n = 0
 	st.matched = false
 	st.cluster = -1
 	st.consumed = 0
-	st.scores = nil
+	st.scores = st.scores[:0]
 	st.lastThr = 0
 }
 
@@ -503,113 +529,29 @@ func (m *Monitor) Ingest(node string, ts int64, values []float64) {
 	}
 	m.met.ingest.Inc()
 	st.lastIngest = ts
-	// One pre-sized ownership copy: the sample is retained in the node's
-	// window buffer, so it must be heap-owned, and sizing it to the
-	// registered layout also conforms mis-shaped vectors (frameInto indexes
-	// one column per registered metric) with NaN padding in the same pass.
-	//lint:ignore hotalloc ownership copy retained in the window buffer; pooled sample arenas are the arena-refactor follow-up
-	v := make([]float64, len(st.metrics))
-	n := copy(v, values)
-	if len(values) != len(st.metrics) {
+	if !st.matched && st.ring.n == 0 && ts > st.jobStart {
+		// Joining a job already in progress (e.g. monitor started
+		// mid-job): align positions with the job's true timeline.
+		st.consumed = int((ts - st.jobStart) / m.cfg.Step)
+	}
+	probeLen, win := int(m.probeLen.Load()), int(m.win.Load())
+	if !st.ring.push(ts, values, max(probeLen, win)) {
 		m.met.shape.Inc()
-		for i := n; i < len(v); i++ {
-			v[i] = math.NaN()
-		}
 	}
-	if !st.matched {
-		if len(st.probe) == 0 && ts > st.jobStart {
-			// Joining a job already in progress (e.g. monitor started
-			// mid-job): align positions with the job's true timeline.
-			st.consumed = int((ts - st.jobStart) / m.cfg.Step)
-		}
-		//lint:ignore hotalloc pre-match probe accumulation is bounded by the match period and runs once per job segment
-		st.probe = append(st.probe, v)
-		//lint:ignore hotalloc same bound as the probe buffer above
-		st.probeTs = append(st.probeTs, ts)
-		p := <-m.pool
-		need := int(p.det.MatchPeriodSec() / m.cfg.Step)
-		if need < 2 {
-			need = 2
-		}
-		if len(st.probe) >= need {
-			frame := st.frameInto(st.probe, st.probeTs[0], m.cfg.Step)
-			var t0 time.Time
-			if m.obsOn {
-				t0 = time.Now()
-			}
-			asg := p.det.MatchPattern(frame)
-			if m.obsOn {
-				m.met.matchLat.Observe(time.Since(t0).Seconds())
-				if asg.Matched {
-					m.met.matchedOK.Inc()
-				} else {
-					m.met.matchedMiss.Inc()
-				}
-			}
-			if h := m.hooks.Load(); h != nil && h.OnMatch != nil {
-				h.OnMatch(st.node, asg.Cluster, asg.Distance, asg.Matched)
-			}
-			st.matched = true
-			st.cluster = asg.Cluster
-			// The probe samples become the first pending windows.
-			st.pending = st.probe
-			st.pendTs = st.probeTs
-			st.probe, st.probeTs = nil, nil
-		}
-		m.pool <- p
-		if !st.matched {
-			st.bufGauge.Set(float64(len(st.probe)))
-			st.mu.Unlock()
-			return
-		}
-	} else {
-		//lint:ignore hotalloc amortized: the buffer is drained window-by-window below, so growth is O(1) per sample
-		st.pending = append(st.pending, v)
-		//lint:ignore hotalloc same amortized drain as pending above
-		st.pendTs = append(st.pendTs, ts)
+	ln := st.lane
+	probeFull := !st.matched && st.ring.n >= probeLen
+	queued := 0
+	if st.matched {
+		queued = ln.enqueue(st, win, m.cfg.Step)
 	}
-
-	if m.batcher != nil {
-		// Batched path: window copies join the cross-node queue; scoring
-		// happens at the next flush (queue full, max delay, or explicit).
-		m.enqueueWindows(st)
-		st.bufGauge.Set(float64(len(st.pending)))
-		st.mu.Unlock()
-		m.maybeFlush()
-		return
-	}
-
-	p := <-m.pool
-	win := p.det.WindowLen()
-	var emit []Alert
-	for len(st.pending) >= win {
-		frame := st.frameInto(st.pending[:win], st.pendTs[0], m.cfg.Step)
-		var t0 time.Time
-		if m.obsOn {
-			t0 = time.Now()
-		}
-		scores := p.det.ScoreFrame(frame, st.cluster, st.consumed)
-		if m.obsOn {
-			m.met.scoreLat.Observe(time.Since(t0).Seconds())
-			m.met.windows.Inc()
-			m.met.samples.Add(int64(win))
-		}
-		if h := m.hooks.Load(); h != nil && h.OnScores != nil {
-			h.OnScores(st.node, st.cluster, frame.Start, scores)
-		}
-		st.lastScored = frame.TimeAt(win - 1)
-		//lint:ignore hotalloc alert path: emit stays nil on anomaly-free windows, the common case
-		emit = append(emit, m.absorbScores(p.det, st, frame, scores)...)
-		st.pending = st.pending[win:]
-		st.pendTs = st.pendTs[win:]
-		st.consumed += win
-	}
-	st.bufGauge.Set(float64(len(st.pending)))
-	m.pool <- p
+	st.bufGauge.Set(float64(st.ring.n))
 	st.mu.Unlock()
-	for i := range emit {
-		emit[i].Epoch = p.epoch
-		m.deliver(st, emit[i])
+	if probeFull {
+		// Only the sample that fills the probe touches a detector.
+		queued = ln.match(m, st)
+	}
+	if ln.due(m, queued) {
+		ln.flush(m)
 	}
 }
 
@@ -618,9 +560,18 @@ func (m *Monitor) Ingest(node string, ts int64, values []float64) {
 func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.NodeFrame, scores []float64) []Alert {
 	winSec, k := det.OnlineParams()
 	histLen := int(winSec/m.cfg.Step) * 2
+	// The history has a fixed capacity: it is cut back to 2×histLen (by a
+	// copy-down, below) whenever it passes 4×histLen, so one more window
+	// past that is the most it ever holds.
 	base := len(st.scores)
-	//lint:ignore hotalloc amortized: the history is trimmed below, so growth is O(1) per window
-	st.scores = append(st.scores, scores...)
+	if need := base + len(scores); need > cap(st.scores) {
+		//lint:ignore hotalloc grow-once per node: the capacity below is the history's upper bound (doubling only when thresholding is off, histLen 0)
+		grown := make([]float64, base, max(need, 4*histLen+len(scores), 2*cap(st.scores)))
+		copy(grown, st.scores)
+		st.scores = grown
+	}
+	st.scores = st.scores[:base+len(scores)]
+	copy(st.scores[base:], scores)
 	preds := core.KSigmaThreshold(st.scores, m.cfg.Step, winSec, k)
 	st.lastThr = currentThreshold(st.scores, m.cfg.Step, winSec, k)
 	if m.obsOn {
@@ -628,10 +579,9 @@ func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.Nod
 		st.thrGauge.Set(st.lastThr)
 	}
 	var out []Alert
-	// Copy-on-alert: frame is pooled scratch (node scratch or a batcher
-	// frame), so diagnosis gets a private clone, made lazily on the first
-	// alert of the window. Anomaly-free windows — the common case — return
-	// their frame to the pool without copying anything.
+	// Copy-on-alert: frame is a recycled lane queue slot, so diagnosis
+	// gets a private clone, made lazily on the first alert of the window.
+	// Anomaly-free windows — the common case — copy nothing.
 	var diagFrame *mts.NodeFrame
 	for i := range scores {
 		gi := base + i
@@ -664,8 +614,8 @@ func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.Nod
 	}
 	// Trim history so memory stays bounded on long-running nodes.
 	if len(st.scores) > 4*histLen && histLen > 0 {
-		//lint:ignore hotalloc runs once per 2×histLen windows; the copy is what bounds steady-state memory
-		st.scores = append([]float64(nil), st.scores[len(st.scores)-2*histLen:]...)
+		copy(st.scores, st.scores[len(st.scores)-2*histLen:])
+		st.scores = st.scores[:2*histLen]
 	}
 	return out
 }
@@ -753,11 +703,16 @@ func (m *Monitor) deliver(st *nodeState, a Alert) {
 	}
 }
 
-// RegisterNode declares a node's metric layout before ingestion.
+// RegisterNode declares a node's metric layout before ingestion. Declaring
+// a layout of a different width mid-stream discards the node's buffered
+// partial window: its rows no longer line up with the metrics.
 func (m *Monitor) RegisterNode(node string, metrics []string) {
 	st := m.state(node)
 	st.mu.Lock()
 	st.metrics = append([]string(nil), metrics...)
+	if st.ring.width != len(metrics) {
+		st.ring = sampleRing{width: len(metrics)}
+	}
 	st.mu.Unlock()
 }
 
@@ -863,7 +818,6 @@ func (m *Monitor) collect() []NodeStatus {
 	out := make([]NodeStatus, 0, len(states))
 	for _, st := range states {
 		st.mu.Lock()
-		buffered := len(st.pending) + len(st.probe)
 		lag := int64(0)
 		if st.lastScored > 0 && st.lastIngest > st.lastScored {
 			lag = st.lastIngest - st.lastScored
@@ -874,7 +828,7 @@ func (m *Monitor) collect() []NodeStatus {
 			Matched:     st.matched,
 			Cluster:     st.cluster,
 			Consumed:    st.consumed,
-			Buffered:    buffered,
+			Buffered:    st.ring.n,
 			Dropped:     st.dropped.Load(),
 			ScoreLagSec: lag,
 			Threshold:   st.lastThr,
@@ -891,7 +845,7 @@ func (m *Monitor) collect() []NodeStatus {
 // panicking on a closed-channel send. Samples ingested after Close are
 // still scored; only their alerts are discarded.
 func (m *Monitor) Close() {
-	// Drain batched windows while the alert channel is still open; their
+	// Drain queued windows while the alert channel is still open; their
 	// deliveries take closeMu's read side, so flush before the write lock.
 	m.Flush()
 	m.closeMu.Lock()

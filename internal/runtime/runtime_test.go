@@ -143,30 +143,55 @@ func TestMonitorJobTransitionResetsPattern(t *testing.T) {
 	m.ObserveJob(node, 43, frame.TimeAt(3))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.probe) != 0 || st.matched || st.job != 43 {
-		t.Errorf("probe not reset on transition: %d samples, matched=%v", len(st.probe), st.matched)
+	if st.ring.n != 0 || st.matched || st.job != 43 {
+		t.Errorf("probe not reset on transition: %d samples, matched=%v", st.ring.n, st.matched)
 	}
 }
 
-func TestFrameInto(t *testing.T) {
-	rows := [][]float64{{1, 10}, {2, 20}, {3, 30}}
-	st := &nodeState{node: "n", metrics: []string{"a", "b"}}
-	f := st.frameInto(rows, 500, 60)
+func TestWindowFill(t *testing.T) {
+	var w window
+	w.fill("n", []string{"a", "b"}, []float64{1, 10, 2, 20, 3, 30}, 3, 500, 60)
+	f := &w.f
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if f.Data[0][2] != 3 || f.Data[1][0] != 10 || f.TimeAt(1) != 560 {
-		t.Errorf("frameInto wrong: %+v", f)
+		t.Errorf("fill wrong: %+v", f)
 	}
-	// A second call reuses the scratch matrix (no growth for <= shape) and
+	// A second call reuses the slot's matrix (no growth for <= shape) and
 	// overwrites the previous contents in place.
-	backing := &st.frameMat.Data[0]
-	f2 := st.frameInto([][]float64{{7, 70}, {8, 80}}, 900, 60)
-	if &st.frameMat.Data[0] != backing {
-		t.Error("frameInto reallocated scratch for a smaller frame")
+	backing := &w.mat.Data[0]
+	w.fill("n", []string{"a", "b"}, []float64{7, 70, 8, 80}, 2, 900, 60)
+	if &w.mat.Data[0] != backing {
+		t.Error("fill reallocated the slot for a smaller frame")
 	}
-	if f2.Len() != 2 || f2.Data[0][1] != 8 || f2.Data[1][0] != 70 || f2.Start != 900 {
-		t.Errorf("frameInto reuse wrong: %+v", f2)
+	if f.Len() != 2 || f.Data[0][1] != 8 || f.Data[1][0] != 70 || f.Start != 900 {
+		t.Errorf("fill reuse wrong: %+v", f)
+	}
+}
+
+// TestNewMonitorRejectsBadConfig: a zero Step used to be accepted and the
+// first Ingest died dividing by it.
+func TestNewMonitorRejectsBadConfig(t *testing.T) {
+	ds, det := fixture(t)
+	for _, tc := range []struct {
+		name string
+		det  *core.Detector
+		cfg  Config
+		ok   bool
+	}{
+		{"zero config", det, Config{}, false},
+		{"negative step", det, Config{Step: -60}, false},
+		{"nil detector", nil, Config{Step: ds.Step}, false},
+		{"step only", det, Config{Step: ds.Step}, true},
+	} {
+		m, err := NewMonitor(tc.det, tc.cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if (m != nil) != tc.ok {
+			t.Errorf("%s: monitor = %v, want non-nil=%v", tc.name, m, tc.ok)
+		}
 	}
 }
 

@@ -98,6 +98,20 @@ func TestSwapDetectorAdvancesEpoch(t *testing.T) {
 	if pause < 0 || pause > time.Minute {
 		t.Errorf("implausible swap pause %v", pause)
 	}
+	// The cached probe length follows the installed generation.
+	longer, err := det.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	winSec, k := det.OnlineParams()
+	longer.SetOnlineParams(2*det.MatchPeriodSec(), winSec, k)
+	before := m.probeLen.Load()
+	if _, err := m.SwapDetector(longer); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.probeLen.Load(); got != 2*before {
+		t.Errorf("probe length after swapping in a doubled match period = %d, want %d", got, 2*before)
+	}
 }
 
 // TestSnapshotConsistentMidStream hammers the consistency invariant while

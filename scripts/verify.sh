@@ -13,6 +13,10 @@
 #              the cold path (CI has no cache), so analyzer performance
 #              regressions fail the gate with the wall time printed.
 #   race tests go test -race ./...
+#   pathbench  (cd bench && go vet ./... && go test -short ./...): the
+#              benchmark of BENCHMARK.json is a module of its own that the
+#              steps above never build, and it compiles against
+#              internal/runtime, internal/daemon and internal/core.
 #   bench gate go run ./cmd/benchtab -exp all -check: reruns the paper
 #              experiments and compares each stage's wall time (one-sided,
 #              default +20%) and allocation counts/bytes (two-sided,
@@ -52,6 +56,9 @@ echo "==> go test -race $* ./..."
 # The full experiment reproductions exceed go test's default 10m package
 # timeout under the race detector; -short (what CI passes) stays well under.
 go test -race -timeout 60m "$@" ./...
+
+echo "==> bench module: go vet + go test -short (pathbench builds against internal/...)"
+(cd bench && go vet ./... && go test -short ./...)
 
 echo "==> benchtab -check (bench-regression gate vs BENCH_obs.json)"
 # -quick matches the scale the committed baseline is generated at (see
