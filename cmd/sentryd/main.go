@@ -60,247 +60,265 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 	os.Exit(1)
 }
 
-func main() {
-	data := flag.String("data", "", "dataset directory (required; supplies node layouts and, with -train, the training split)")
-	train := flag.Bool("train", false, "train a detector on the dataset's training split at startup")
-	modelPath := flag.String("model", "", "model file to load (or to save after -train)")
-	listen := flag.String("listen", ":9100", "push intake address (POST /push, GET /healthz)")
-	obsListen := flag.String("obs-listen", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
-	shards := flag.Int("shards", 4, "shard router worker queues")
-	batchWindows := flag.Int("batch-windows", 0, "windows a scoring lane queues before scoring them, same-cluster ones as one stacked model invocation (0 or 1 = score each window as it completes; scores are byte-identical at every value)")
-	queue := flag.Int("queue", 256, "per-shard queue capacity")
-	policy := flag.String("policy", "block", "backpressure policy: block | drop-oldest")
-	scrapeTargets := flag.String("scrape-targets", "", "comma-separated /metrics URLs to poll (empty disables pull mode)")
-	scrapeInterval := flag.Duration("scrape-interval", 15*time.Second, "scrape sweep interval")
-	webhook := flag.String("webhook", "", "POST alerts to this URL (empty logs alerts only)")
-	webhookRetries := flag.Int("webhook-retries", 2, "extra webhook delivery attempts per alert")
-	summaryOn := flag.Bool("summary", false, "run the alert summarization tier: correlated alerts fold into incidents and the webhook receives one payload per incident open/resolve instead of one per alert")
-	summaryWindow := flag.Duration("summary-window", 5*time.Second, "summarization clustering window (flush cadence; coordinator role flushes on -sweep-interval instead)")
-	summaryResolve := flag.Duration("summary-resolve", time.Minute, "quiet time after which an open incident resolves")
-	summaryMin := flag.Int("summary-min", 3, "minimum correlated alerts per window to open an incident (smaller groups deliver raw)")
-	summaryRaw := flag.Bool("summary-raw", false, "with -summary, additionally deliver every raw alert next to folded incidents")
-	fleet := flag.Bool("fleet", true, "run the fleet observability tier: vicinity residuals, event journal, and the /fleet/ dashboard on -obs-listen")
-	vicinityThreshold := flag.Float64("vicinity-threshold", 4, "robust z vs job-peer median/MAD at which a node counts as peer-divergent")
-	exemplars := flag.Bool("exemplars", false, "render (trace-id, value, ts) exemplars on histogram buckets in /metrics")
-	lifecycleOn := flag.Bool("lifecycle", false, "run the model lifecycle loop: drift detection, background retraining, shadow promotion, hot swap")
-	registryDir := flag.String("registry-dir", "registry", "versioned model registry directory (with -lifecycle)")
-	retrainInterval := flag.Duration("retrain-interval", 0, "also retrain on this fixed period regardless of drift (0 = drift-driven only)")
-	driftThreshold := flag.Float64("drift-threshold", 2.5, "multiple of the training baseline at which the rolling median counts as drifted")
-	role := flag.String("role", "standalone", "fleet role: standalone | scorer | coordinator")
-	coordinatorURL := flag.String("coordinator", "", "coordinator base URL (required with -role scorer)")
-	scorerID := flag.String("id", "", "this scorer's stable identity (default: hostname)")
-	advertisePush := flag.String("advertise-push", "", "push intake URL this scorer advertises to the coordinator")
-	advertiseObs := flag.String("advertise-obs", "", "observability URL this scorer advertises (the coordinator scrapes its /metrics and /fleet/*)")
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "scorer lease-renewal cadence")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease age at which a silent scorer's shards are reassigned")
-	sweepInterval := flag.Duration("sweep-interval", 2*time.Second, "coordinator: cadence of lease sweeps and fleet fan-in scrapes")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	flag.Parse()
+// options is what the command line resolves to: the process-level
+// settings main acts on itself, and the configuration of the role's tier
+// as far as flags decide it — main adds what only exists at run time (the
+// dataset's layouts, the detector, the listener, registry, metrics and
+// logger).
+type options struct {
+	role     string // standalone | scorer | coordinator
+	logLevel slog.Level
 
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "sentryd: bad -log-level %q\n", *logLevel)
-		os.Exit(2)
+	listen    string
+	obsListen string
+	exemplars bool
+	policy    string // -policy as spelled, for the startup log
+
+	data      string
+	train     bool
+	modelPath string
+
+	lifecycle   bool
+	registryDir string
+
+	// daemon configures the standalone and scorer roles, coord the
+	// coordinator role.
+	daemon daemon.Config
+	coord  coord.Config
+}
+
+// parseFlags resolves args (without the program name) into options, or an
+// error naming the offending flag.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("sentryd", flag.ContinueOnError)
+	fs.StringVar(&o.data, "data", "", "dataset directory (required except for -role coordinator; supplies node layouts and, with -train, the training split)")
+	fs.BoolVar(&o.train, "train", false, "train a detector on the dataset's training split at startup")
+	fs.StringVar(&o.modelPath, "model", "", "model file to load (or to save after -train)")
+	fs.StringVar(&o.listen, "listen", ":9100", "push intake address (POST /push, GET /healthz)")
+	fs.StringVar(&o.obsListen, "obs-listen", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
+	shards := fs.Int("shards", 4, "shard router worker queues")
+	batchWindows := fs.Int("batch-windows", 0, "windows a scoring lane queues before scoring them, same-cluster ones as one stacked model invocation (0 or 1 = score each window as it completes; scores are byte-identical at every value)")
+	queue := fs.Int("queue", 256, "per-shard queue capacity")
+	fs.StringVar(&o.policy, "policy", "block", "backpressure policy: block | drop-oldest")
+	scrapeTargets := fs.String("scrape-targets", "", "comma-separated /metrics URLs to poll (empty disables pull mode)")
+	scrapeInterval := fs.Duration("scrape-interval", 15*time.Second, "scrape sweep interval")
+	webhook := fs.String("webhook", "", "POST alerts to this URL (empty logs alerts only)")
+	webhookRetries := fs.Int("webhook-retries", 2, "extra webhook delivery attempts per alert")
+	summaryOn := fs.Bool("summary", false, "run the alert summarization tier: correlated alerts fold into incidents and the webhook receives one payload per incident open/resolve instead of one per alert")
+	summaryWindow := fs.Duration("summary-window", 5*time.Second, "summarization clustering window (flush cadence; coordinator role flushes on -sweep-interval instead)")
+	summaryResolve := fs.Duration("summary-resolve", time.Minute, "quiet time after which an open incident resolves")
+	summaryMin := fs.Int("summary-min", 3, "minimum correlated alerts per window to open an incident (smaller groups deliver raw)")
+	fleet := fs.Bool("fleet", true, "run the fleet observability tier: vicinity residuals, event journal, and the /fleet/ dashboard on -obs-listen")
+	vicinityThreshold := fs.Float64("vicinity-threshold", 4, "robust z vs job-peer median/MAD at which a node counts as peer-divergent")
+	fs.BoolVar(&o.exemplars, "exemplars", false, "render (trace-id, value, ts) exemplars on histogram buckets in /metrics")
+	fs.BoolVar(&o.lifecycle, "lifecycle", false, "run the model lifecycle loop: drift detection, background retraining, shadow promotion, hot swap")
+	fs.StringVar(&o.registryDir, "registry-dir", "registry", "versioned model registry directory (with -lifecycle)")
+	retrainInterval := fs.Duration("retrain-interval", 0, "also retrain on this fixed period regardless of drift (0 = drift-driven only)")
+	driftThreshold := fs.Float64("drift-threshold", 2.5, "multiple of the training baseline at which the rolling median counts as drifted")
+	fs.StringVar(&o.role, "role", "standalone", "fleet role: standalone | scorer | coordinator")
+	coordinatorURL := fs.String("coordinator", "", "coordinator base URL (required with -role scorer)")
+	scorerID := fs.String("id", "", "this scorer's stable identity (default: hostname)")
+	advertisePush := fs.String("advertise-push", "", "push intake URL this scorer advertises to the coordinator")
+	advertiseObs := fs.String("advertise-obs", "", "observability URL this scorer advertises (the coordinator scrapes its /metrics and /fleet/*)")
+	heartbeat := fs.Duration("heartbeat", 2*time.Second, "scorer lease-renewal cadence")
+	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "coordinator: lease age at which a silent scorer's shards are reassigned")
+	sweepInterval := fs.Duration("sweep-interval", 2*time.Second, "coordinator: cadence of lease sweeps and fleet fan-in scrapes")
+	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	switch *role {
-	case "standalone", "scorer", "coordinator":
-	default:
-		fmt.Fprintf(os.Stderr, "sentryd: bad -role %q (want standalone, scorer or coordinator)\n", *role)
-		os.Exit(2)
+	if err := o.logLevel.UnmarshalText([]byte(*logLevel)); err != nil {
+		return o, fmt.Errorf("bad -log-level %q", *logLevel)
+	}
+	var sum *summary.Config
+	if *summaryOn {
+		sum = &summary.Config{Window: *summaryWindow, ResolveAfter: *summaryResolve, MinGroup: *summaryMin}
 	}
 
 	// The coordinator tier has no detector and no intake: it is pure
-	// membership + model distribution + fan-in, so it branches off before
-	// any dataset work. With -lifecycle it serves -registry-dir over
-	// /registry/ for scorers to pull from.
-	if *role == "coordinator" {
-		runCoordinator(logger, coordinatorFlags{
-			listen:            *listen,
-			shards:            *shards,
-			leaseTTL:          *leaseTTL,
-			sweepInterval:     *sweepInterval,
-			vicinityThreshold: *vicinityThreshold,
-			registryDir:       *registryDir,
-			lifecycleOn:       *lifecycleOn,
-			exemplars:         *exemplars,
-			webhook:           *webhook,
-			summaryOn:         *summaryOn,
-			summaryResolve:    *summaryResolve,
-			summaryMin:        *summaryMin,
-			summaryRaw:        *summaryRaw,
-		})
+	// membership + model distribution + fan-in, so it needs no dataset.
+	if o.role == "coordinator" {
+		if sum != nil {
+			// The coordinator flushes on its sweep cadence, so the sweep
+			// interval is the clustering window.
+			sum.Window = *sweepInterval
+		}
+		o.coord = coord.Config{
+			TotalShards:       *shards,
+			LeaseTTL:          *leaseTTL,
+			SweepInterval:     *sweepInterval,
+			VicinityThreshold: *vicinityThreshold,
+			WebhookURL:        *webhook,
+			Summary:           sum,
+		}
+		return o, nil
+	}
+	if o.role != "standalone" && o.role != "scorer" {
+		return o, fmt.Errorf("bad -role %q (want standalone, scorer or coordinator)", o.role)
+	}
+	if o.data == "" {
+		return o, errors.New("-data is required")
+	}
+
+	o.daemon = daemon.Config{
+		ScoringWorkers: 3,
+		BatchWindows:   *batchWindows,
+		Shards:         *shards,
+		QueueSize:      *queue,
+		WebhookURL:     *webhook,
+		WebhookRetries: *webhookRetries,
+		WebhookBackoff: ingest.Backoff{Base: 200 * time.Millisecond},
+		Summary:        sum,
+	}
+	switch o.policy {
+	case "block":
+		o.daemon.Policy = ingest.Block
+	case "drop-oldest":
+		o.daemon.Policy = ingest.DropOldest
+	default:
+		return o, fmt.Errorf("bad -policy %q (want block or drop-oldest)", o.policy)
+	}
+	if *scrapeTargets != "" {
+		o.daemon.ScrapeTargets = strings.Split(*scrapeTargets, ",")
+		o.daemon.ScrapeInterval = *scrapeInterval
+	}
+	if *fleet {
+		o.daemon.FleetView = &fleetview.Config{VicinityThreshold: *vicinityThreshold}
+	}
+	if o.lifecycle {
+		// main adds what the dataset decides: Step, SemanticGroups.
+		o.daemon.Lifecycle = &lifecycle.Config{
+			TrainOptions:    nodesentry.DefaultOptions(),
+			DriftThreshold:  *driftThreshold,
+			RetrainInterval: *retrainInterval,
+		}
+	}
+	if o.role == "scorer" {
+		if *coordinatorURL == "" {
+			return o, errors.New("-role scorer requires -coordinator")
+		}
+		id := *scorerID
+		if id == "" {
+			host, err := os.Hostname()
+			if err != nil {
+				return o, fmt.Errorf("resolve hostname for scorer id: %w", err)
+			}
+			id = host
+		}
+		o.daemon.Coord = &coord.AgentConfig{
+			ID:                id,
+			CoordinatorURL:    strings.TrimRight(*coordinatorURL, "/"),
+			PushURL:           *advertisePush,
+			ObsURL:            *advertiseObs,
+			HeartbeatInterval: *heartbeat,
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sentryd:", err)
+		os.Exit(2)
+	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
+	// The gateway is always instrumented; -obs-listen only controls
+	// whether the registry is additionally served for scraping.
+	reg := obs.NewRegistry()
+	reg.SetExemplars(o.exemplars)
+	if o.role == "coordinator" {
+		runCoordinator(logger, reg, o)
 		return
 	}
 
-	if *data == "" {
-		fmt.Fprintln(os.Stderr, "sentryd: -data is required")
-		os.Exit(2)
-	}
-	var routerPolicy ingest.Policy
-	switch *policy {
-	case "block":
-		routerPolicy = ingest.Block
-	case "drop-oldest":
-		routerPolicy = ingest.DropOldest
-	default:
-		fmt.Fprintf(os.Stderr, "sentryd: bad -policy %q (want block or drop-oldest)\n", *policy)
-		os.Exit(2)
-	}
-
-	// The gateway is always instrumented; -obs-listen only controls
-	// whether the registry is additionally served for scraping. The server
-	// starts after daemon.New so the /fleet/ mounts can come from the live
-	// aggregator.
-	reg := obs.NewRegistry()
-	reg.SetExemplars(*exemplars)
-
-	ds, err := nodesentry.ImportDataset(*data)
+	ds, err := nodesentry.ImportDataset(o.data)
 	if err != nil {
-		fatal(logger, "load dataset", "dir", *data, "err", err)
+		fatal(logger, "load dataset", "dir", o.data, "err", err)
 	}
 	logger.Info("dataset loaded", "summary", fmt.Sprint(ds.Summarize()))
 
 	// Detector resolution: with -lifecycle the registry is authoritative —
 	// a previously promoted model survives restarts; -train/-model only
 	// seed an empty (or unreadable) registry.
-	var store *lifecycle.Store
-	var activeID string
-	var det *nodesentry.Detector
-	if *lifecycleOn {
-		store, err = lifecycle.OpenStore(*registryDir, 5)
+	cfg := o.daemon
+	cfg.Step, cfg.Metrics, cfg.Logger = ds.Step, reg, logger
+	if o.lifecycle {
+		cfg.Store, err = lifecycle.OpenStore(o.registryDir, 5)
 		if err != nil {
-			fatal(logger, "open registry", "dir", *registryDir, "err", err)
+			fatal(logger, "open registry", "dir", o.registryDir, "err", err)
 		}
-		if d, v, err := store.LoadActive(); err == nil {
-			det, activeID = d, v.ID
+		if d, v, err := cfg.Store.LoadActive(); err == nil {
+			cfg.Detector, cfg.ActiveID = d, v.ID
 			logger.Info("model loaded from registry", "version", v.ID,
-				"clusters", det.NumClusters(), "source", v.Source)
+				"clusters", d.NumClusters(), "source", v.Source)
 		} else {
 			logger.Info("registry has no loadable active version", "err", err)
-			det = loadOrTrain(logger, ds, *train, *modelPath)
-			v, err := store.SaveVersion(det, "initial")
+			cfg.Detector = loadOrTrain(logger, ds, o.train, o.modelPath)
+			v, err := cfg.Store.SaveVersion(cfg.Detector, "initial")
 			if err != nil {
 				fatal(logger, "save initial version", "err", err)
 			}
-			if err := store.Activate(v.ID); err != nil {
+			if err := cfg.Store.Activate(v.ID); err != nil {
 				fatal(logger, "activate initial version", "err", err)
 			}
-			activeID = v.ID
+			cfg.ActiveID = v.ID
 			logger.Info("initial model registered", "version", v.ID)
 		}
+		cfg.Lifecycle.Step = ds.Step
+		cfg.Lifecycle.SemanticGroups = telemetry.SemanticIndex(ds.Catalog)
 	} else {
-		det = loadOrTrain(logger, ds, *train, *modelPath)
-	}
-
-	cfg := daemon.Config{
-		Detector:       det,
-		Step:           ds.Step,
-		ScoringWorkers: 3,
-		BatchWindows:   *batchWindows,
-		Shards:         *shards,
-		QueueSize:      *queue,
-		Policy:         routerPolicy,
-		WebhookURL:     *webhook,
-		WebhookRetries: *webhookRetries,
-		WebhookBackoff: ingest.Backoff{Base: 200 * time.Millisecond},
-		Metrics:        reg,
-		Logger:         logger,
+		cfg.Detector = loadOrTrain(logger, ds, o.train, o.modelPath)
 	}
 	cfg.Layouts = map[string][]string{}
 	for node, frame := range ds.Frames {
 		cfg.Layouts[node] = frame.Metrics
 	}
-	if *lifecycleOn {
-		cfg.Lifecycle = &lifecycle.Config{
-			Step:            ds.Step,
-			TrainOptions:    nodesentry.DefaultOptions(),
-			SemanticGroups:  telemetry.SemanticIndex(ds.Catalog),
-			DriftThreshold:  *driftThreshold,
-			RetrainInterval: *retrainInterval,
-			Metrics:         reg,
-			Logger:          logger,
-		}
-		cfg.Store = store
-		cfg.ActiveID = activeID
+	if cfg.Coord != nil {
+		// The registry version already running doesn't re-pull.
+		cfg.Coord.ActiveModelID = cfg.ActiveID
 	}
-	if *fleet {
-		cfg.FleetView = &fleetview.Config{
-			VicinityThreshold: *vicinityThreshold,
-			Metrics:           reg,
-			Logger:            logger,
-		}
-	}
-	if *summaryOn {
-		cfg.Summary = &summary.Config{
-			Window:       *summaryWindow,
-			ResolveAfter: *summaryResolve,
-			MinGroup:     *summaryMin,
-		}
-		cfg.SummaryRaw = *summaryRaw
-	}
-	if *role == "scorer" {
-		if *coordinatorURL == "" {
-			fmt.Fprintln(os.Stderr, "sentryd: -role scorer requires -coordinator")
-			os.Exit(2)
-		}
-		id := *scorerID
-		if id == "" {
-			host, err := os.Hostname()
-			if err != nil {
-				fatal(logger, "resolve hostname for scorer id", "err", err)
-			}
-			id = host
-		}
-		cfg.Coord = &coord.AgentConfig{
-			ID:                id,
-			CoordinatorURL:    strings.TrimRight(*coordinatorURL, "/"),
-			PushURL:           *advertisePush,
-			ObsURL:            *advertiseObs,
-			HeartbeatInterval: *heartbeat,
-			// The registry version already running doesn't re-pull.
-			ActiveModelID: activeID,
-		}
-	}
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
-		fatal(logger, "intake listen", "addr", *listen, "err", err)
+		fatal(logger, "intake listen", "addr", o.listen, "err", err)
 	}
 	cfg.Listener = ln
-	if *scrapeTargets != "" {
-		cfg.ScrapeTargets = strings.Split(*scrapeTargets, ",")
-		cfg.ScrapeInterval = *scrapeInterval
-	}
 
+	// The obs server starts after daemon.New so the /fleet/ mounts can come
+	// from the live aggregator.
 	d, err := daemon.New(cfg)
 	if err != nil {
 		fatal(logger, "daemon", "err", err)
 	}
-	if *obsListen != "" {
+	if o.obsListen != "" {
 		var mounts []obs.Mount
 		if fv := d.FleetView(); fv != nil {
 			mounts = fv.Mounts()
 		}
-		srv, addr, err := obs.Serve(*obsListen, reg, nil, mounts...)
+		srv, addr, err := obs.Serve(o.obsListen, reg, nil, mounts...)
 		if err != nil {
 			fatal(logger, "obs server", "err", err)
 		}
 		defer func() { _ = srv.Close() }() // process exit; shutdown error is inert
-		logger.Info("observability listening", "addr", addr, "fleet", *fleet)
+		logger.Info("observability listening", "addr", addr, "fleet", cfg.FleetView != nil)
 	}
 	logger.Info("intake listening", "addr", d.Addr(),
-		"shards", *shards, "queue", *queue, "policy", *policy)
+		"shards", cfg.Shards, "queue", cfg.QueueSize, "policy", o.policy)
 	if cfg.Coord != nil {
 		logger.Info("scorer role", "id", cfg.Coord.ID, "coordinator", cfg.Coord.CoordinatorURL,
-			"heartbeat", *heartbeat)
+			"heartbeat", cfg.Coord.HeartbeatInterval)
 	}
-	if *lifecycleOn {
-		logger.Info("lifecycle loop running", "registry", *registryDir,
-			"drift_threshold", *driftThreshold, "retrain_interval", *retrainInterval)
+	if o.lifecycle {
+		logger.Info("lifecycle loop running", "registry", o.registryDir,
+			"drift_threshold", cfg.Lifecycle.DriftThreshold, "retrain_interval", cfg.Lifecycle.RetrainInterval)
 	}
 	if len(cfg.ScrapeTargets) > 0 {
-		logger.Info("scraping", "targets", len(cfg.ScrapeTargets), "interval", *scrapeInterval)
+		logger.Info("scraping", "targets", len(cfg.ScrapeTargets), "interval", cfg.ScrapeInterval)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -321,60 +339,24 @@ func main() {
 	}
 }
 
-// coordinatorFlags carries the subset of flags the coordinator role uses.
-type coordinatorFlags struct {
-	listen            string
-	shards            int
-	leaseTTL          time.Duration
-	sweepInterval     time.Duration
-	vicinityThreshold float64
-	registryDir       string
-	lifecycleOn       bool
-	exemplars         bool
-	webhook           string
-	summaryOn         bool
-	summaryResolve    time.Duration
-	summaryMin        int
-	summaryRaw        bool
-}
-
-// runCoordinator serves the coordinator tier on f.listen: /coord/*
+// runCoordinator serves the coordinator tier on -listen: /coord/*
 // membership and alert intake, /registry/* model distribution (with
-// -lifecycle), and the merged /fleet/* surface, until SIGINT/SIGTERM.
-func runCoordinator(logger *slog.Logger, f coordinatorFlags) {
-	reg := obs.NewRegistry()
-	reg.SetExemplars(f.exemplars)
-
-	var store *lifecycle.Store
-	if f.lifecycleOn {
+// -lifecycle, from -registry-dir), and the merged /fleet/* surface, until
+// SIGINT/SIGTERM.
+func runCoordinator(logger *slog.Logger, reg *obs.Registry, o options) {
+	ccfg := o.coord
+	ccfg.Metrics, ccfg.Logger = reg, logger
+	if o.lifecycle {
 		var err error
-		store, err = lifecycle.OpenStore(f.registryDir, 5)
+		ccfg.Store, err = lifecycle.OpenStore(o.registryDir, 5)
 		if err != nil {
-			fatal(logger, "open registry", "dir", f.registryDir, "err", err)
+			fatal(logger, "open registry", "dir", o.registryDir, "err", err)
 		}
-		logger.Info("serving model registry", "dir", f.registryDir)
+		logger.Info("serving model registry", "dir", o.registryDir)
 	}
-	ccfg := coord.Config{
-		TotalShards:       f.shards,
-		LeaseTTL:          f.leaseTTL,
-		SweepInterval:     f.sweepInterval,
-		VicinityThreshold: f.vicinityThreshold,
-		Store:             store,
-		Metrics:           reg,
-		Logger:            logger,
-		WebhookURL:        f.webhook,
-		SummaryRaw:        f.summaryRaw,
-	}
-	if f.summaryOn {
-		// The coordinator flushes on its sweep cadence, so the sweep
-		// interval is the clustering window.
-		ccfg.Summary = &summary.Config{
-			Window:       f.sweepInterval,
-			ResolveAfter: f.summaryResolve,
-			MinGroup:     f.summaryMin,
-		}
-		logger.Info("alert summarization on", "window", f.sweepInterval,
-			"resolve_after", f.summaryResolve, "min_group", f.summaryMin)
+	if s := ccfg.Summary; s != nil {
+		logger.Info("alert summarization on", "window", s.Window,
+			"resolve_after", s.ResolveAfter, "min_group", s.MinGroup)
 	}
 	c := coord.New(ccfg)
 	defer c.Close()
@@ -383,13 +365,13 @@ func runCoordinator(logger *slog.Logger, f coordinatorFlags) {
 	defer stop()
 	go c.Run(ctx)
 
-	srv, addr, err := obs.Serve(f.listen, reg, nil, c.Mounts()...)
+	srv, addr, err := obs.Serve(o.listen, reg, nil, c.Mounts()...)
 	if err != nil {
 		fatal(logger, "coordinator server", "err", err)
 	}
 	defer func() { _ = srv.Close() }() // process exit; shutdown error is inert
 	logger.Info("coordinator listening", "addr", addr,
-		"total_shards", f.shards, "lease_ttl", f.leaseTTL, "sweep", f.sweepInterval)
+		"total_shards", ccfg.TotalShards, "lease_ttl", ccfg.LeaseTTL, "sweep", ccfg.SweepInterval)
 
 	<-ctx.Done()
 	logger.Info("shutdown signal received")

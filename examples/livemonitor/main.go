@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"nodesentry"
+	"nodesentry/internal/telemetry"
 )
 
 func main() {
@@ -144,7 +145,7 @@ func serveFleetTelemetry(addr string, ds *nodesentry.Dataset) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		for _, node := range nodes {
 			if f := test[node]; t < f.Len() {
-				if _, err := fmt.Fprint(w, nodesentry.FormatScrape(f, t)); err != nil {
+				if _, err := fmt.Fprint(w, telemetry.FormatScrape(f, t)); err != nil {
 					return
 				}
 			}

@@ -108,8 +108,8 @@ type Report struct {
 	// Summarization accounting (Config.Summary only): every raised alert
 	// either folded into an incident or was delivered raw, and every
 	// opened incident was resolved by quiescence.
-	SummaryObserved, SummaryFolded, SummaryRaw int64
-	IncidentsOpened, IncidentsResolved         int64
+	SummaryObserved, SummaryFolded, SummaryUnfolded int64
+	IncidentsOpened, IncidentsResolved              int64
 }
 
 // faultMirror forwards every ledger injection into the fleetview journal.
@@ -376,15 +376,11 @@ func (s *soak) start() (func() error, error) {
 			// The soak drives drift checks and gates explicitly; the
 			// manager's own ticker must never race it.
 			CheckInterval: time.Hour,
-			Metrics:       s.reg,
-			Logger:        s.cfg.Logger,
 		},
 		FleetView: &fleetview.Config{
 			// The soak settles in milliseconds; evaluate residuals on the
 			// same timescale so vicinity passes actually run mid-chaos.
 			EvalInterval: 25 * time.Millisecond,
-			Metrics:      s.reg,
-			Logger:       s.cfg.Logger,
 		},
 		Store:    s.store,
 		ActiveID: active.ID,
@@ -848,7 +844,7 @@ func (s *soak) reconcile() error {
 	chk("alerts delivered", get("nodesentry_alerts_delivered_total"), int64(len(alerts)))
 	if sum := s.d.Summarizer(); sum != nil {
 		st := sum.Stats()
-		s.rep.SummaryObserved, s.rep.SummaryFolded, s.rep.SummaryRaw = st.Observed, st.Folded, st.Raw
+		s.rep.SummaryObserved, s.rep.SummaryFolded, s.rep.SummaryUnfolded = st.Observed, st.Folded, st.Raw
 		s.rep.IncidentsOpened, s.rep.IncidentsResolved = st.Opened, st.Resolved
 		chk("summary observed", st.Observed, int64(len(alerts)))
 		chk("summary folded+raw", st.Folded+st.Raw, st.Observed)

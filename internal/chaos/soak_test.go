@@ -109,16 +109,16 @@ func TestSoak(t *testing.T) {
 	if rep.SummaryObserved != int64(rep.Alerts) {
 		t.Errorf("summarizer observed %d alerts, %d were raised", rep.SummaryObserved, rep.Alerts)
 	}
-	if rep.SummaryFolded+rep.SummaryRaw != rep.SummaryObserved {
+	if rep.SummaryFolded+rep.SummaryUnfolded != rep.SummaryObserved {
 		t.Errorf("folded %d + raw %d != observed %d",
-			rep.SummaryFolded, rep.SummaryRaw, rep.SummaryObserved)
+			rep.SummaryFolded, rep.SummaryUnfolded, rep.SummaryObserved)
 	}
 	if rep.IncidentsResolved != rep.IncidentsOpened {
 		t.Errorf("%d incidents opened but %d resolved", rep.IncidentsOpened, rep.IncidentsResolved)
 	}
 	t.Logf("soak: %d push lines, %d scrapes, %d alerts (%d folded into %d incidents, %d raw), recall %.2f (%d/%d), epoch %d, faults %v",
 		rep.PushLines, rep.ScrapeSweeps, rep.Alerts, rep.SummaryFolded, rep.IncidentsOpened,
-		rep.SummaryRaw, rep.Recall, rep.MatchedFaults, rep.TotalFaults, rep.Epoch, rep.Counts)
+		rep.SummaryUnfolded, rep.Recall, rep.MatchedFaults, rep.TotalFaults, rep.Epoch, rep.Counts)
 }
 
 // TestSoakLong is the nightly multi-cycle soak: several full lifecycle

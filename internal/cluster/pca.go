@@ -58,7 +58,8 @@ func FitPCA(X *mat.Matrix, k int) *PCA {
 		}
 	}
 	// Covariance (d×d, scaled by 1/n).
-	cov := mat.TMul(C, C)
+	cov := mat.New(d, d)
+	mat.TMulInto(cov, C, C)
 	mat.Scale(cov, 1/float64(n))
 
 	// Orthogonal iteration: Q ← orth(cov · Q).
@@ -69,13 +70,15 @@ func FitPCA(X *mat.Matrix, k int) *PCA {
 	}
 	gramSchmidt(Q)
 	const iters = 60
+	CQ := mat.New(d, k) // cov·Q; swapped with Q each iteration
 	for it := 0; it < iters; it++ {
-		Q = mat.Mul(cov, Q)
+		mat.MulInto(CQ, cov, Q)
+		Q, CQ = CQ, Q
 		gramSchmidt(Q)
 	}
 	// Components = Qᵀ; explained variance = diag(Qᵀ cov Q).
 	p.Components = Q.T()
-	CQ := mat.Mul(cov, Q)
+	mat.MulInto(CQ, cov, Q)
 	p.Explained = make([]float64, k)
 	for c := 0; c < k; c++ {
 		s := 0.0

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -100,8 +101,9 @@ type Agent struct {
 	registered bool
 	modelID    string
 
-	met agentMetrics
-	log *slog.Logger
+	met     agentMetrics
+	log     *slog.Logger
+	badOnce sync.Once // logs the first rejected assignment only
 }
 
 // NewAgent builds an agent around the scorer's shard filter and (for
@@ -140,7 +142,7 @@ func (ag *Agent) Assignment() Assignment {
 // canceled. Registration failures retry on the heartbeat cadence — a
 // scorer outliving an unreachable coordinator keeps scoring its last
 // assignment (or everything, before the first one) rather than dying.
-func (ag *Agent) Run(ctx ctxDone) {
+func (ag *Agent) Run(ctx context.Context) {
 	ag.Register()
 	hb := time.NewTicker(ag.cfg.HeartbeatInterval)
 	defer hb.Stop()
@@ -180,7 +182,9 @@ func (ag *Agent) Register() bool {
 		}
 		return false
 	}
-	ag.apply(a, true)
+	if !ag.apply(a) {
+		return false
+	}
 	if ag.log != nil {
 		ag.log.Info("registered", "epoch", a.Epoch, "shards", len(a.Shards))
 	}
@@ -204,8 +208,7 @@ func (ag *Agent) HeartbeatOnce() bool {
 	}{ag.cfg.ID}, &a)
 	switch {
 	case err == nil:
-		ag.apply(a, true)
-		return true
+		return ag.apply(a)
 	case errIsGone(err):
 		// Lease lapsed (we were partitioned past the TTL): rejoin.
 		ag.mu.Lock()
@@ -221,13 +224,25 @@ func (ag *Agent) HeartbeatOnce() bool {
 	}
 }
 
-func (ag *Agent) apply(a Assignment, registered bool) {
-	ag.filter.SetAssignment(a)
+// apply installs a in the shard filter and records the lease as held. An
+// assignment the filter rejects counts as a failed heartbeat: the last
+// good assignment keeps being enforced.
+func (ag *Agent) apply(a Assignment) bool {
+	if err := ag.filter.SetAssignment(a); err != nil {
+		ag.met.hbErrors.Inc()
+		ag.badOnce.Do(func() {
+			if ag.log != nil {
+				ag.log.Warn("assignment rejected", "coordinator", ag.cfg.CoordinatorURL, "err", err)
+			}
+		})
+		return false
+	}
 	ag.met.epochG.Set(float64(a.Epoch))
 	ag.mu.Lock()
 	ag.assignment = a
-	ag.registered = registered
+	ag.registered = true
 	ag.mu.Unlock()
+	return true
 }
 
 // leave deregisters gracefully (best effort — the lease expires anyway).

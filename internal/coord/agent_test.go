@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nodesentry/internal/ingest"
 	"nodesentry/internal/lifecycle"
+	"nodesentry/internal/obs"
 	"nodesentry/internal/runtime"
 	"nodesentry/internal/testutil"
 )
@@ -76,6 +80,83 @@ func TestAgentRegisterHeartbeatReRegister(t *testing.T) {
 	}
 	if a := ag.Assignment(); a.Epoch != c.Epoch() {
 		t.Fatalf("re-registered assignment epoch = %d, coordinator at %d", a.Epoch, c.Epoch())
+	}
+}
+
+// TestAgentRejectsMalformedAssignment answers register and heartbeat with
+// 200 and a body that decodes to an unusable assignment — what an empty
+// response or a mangling proxy produces. None may reach the ingest path as
+// a zero-shard table (FNVShard would divide by zero); the filter keeps
+// enforcing the last good assignment and each one counts as a heartbeat
+// error.
+func TestAgentRejectsMalformedAssignment(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	good := `{"epoch":3,"scorer":"scorer-a","shards":[0,2],"total_shards":4}`
+	var body atomic.Value
+	body.Store(good)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(body.Load().(string)))
+	}))
+	defer srv.Close()
+
+	sink := newRecordingSink()
+	reg := obs.NewRegistry()
+	filter := NewShardFilter(sink, nil)
+	ag, closeClient := newTestAgent(t, AgentConfig{
+		ID: "scorer-a", CoordinatorURL: srv.URL, PullInterval: -1, Metrics: reg,
+	}, filter, nil)
+	defer closeClient()
+	hbErrors := reg.Counter("nodesentry_agent_heartbeat_errors_total")
+
+	// Before any good assignment a malformed one leaves the filter
+	// transparent and the agent unregistered.
+	body.Store("")
+	if ag.Register() {
+		t.Fatal("register accepted an empty assignment")
+	}
+	filter.Ingest("node-0", 100, []float64{1})
+	if sink.samples["node-0"] != 1 || hbErrors.Value() != 1 {
+		t.Fatalf("pre-assignment: samples=%d heartbeat_errors=%d", sink.samples["node-0"], hbErrors.Value())
+	}
+
+	body.Store(good)
+	if !ag.Register() || filter.Epoch() != 3 {
+		t.Fatalf("good assignment not applied: filter epoch %d", filter.Epoch())
+	}
+
+	for _, tc := range []struct {
+		name, body string
+		applied    bool
+	}{
+		{"empty body", "", false},
+		{"empty object", "{}", false},
+		{"zero total", `{"epoch":9,"shards":[0],"total_shards":0}`, false},
+		{"negative total", `{"epoch":9,"shards":[0],"total_shards":-4}`, false},
+		// Out-of-range indices are ignored, the rest of the table applies.
+		{"shard beyond total", `{"epoch":4,"shards":[0,2,4,-1],"total_shards":4}`, true},
+	} {
+		before := hbErrors.Value()
+		body.Store(tc.body)
+		if got := ag.HeartbeatOnce(); got != tc.applied {
+			t.Errorf("%s: HeartbeatOnce = %v, want %v", tc.name, got, tc.applied)
+		}
+		wantEpoch, wantErrs := int64(3), before+1
+		if tc.applied {
+			wantEpoch, wantErrs = 4, before
+		}
+		if filter.Epoch() != wantEpoch || ag.Assignment().Epoch != wantEpoch || hbErrors.Value() != wantErrs {
+			t.Errorf("%s: filter epoch %d, agent epoch %d, heartbeat_errors %d; want %d, %d, %d",
+				tc.name, filter.Epoch(), ag.Assignment().Epoch, hbErrors.Value(), wantEpoch, wantEpoch, wantErrs)
+		}
+		// Shards 0 and 2 of 4 stay the owned set throughout.
+		for i := 0; i < 32; i++ {
+			node := fmt.Sprintf("probe-%d", i)
+			shard := ingest.FNVShard(node, 4)
+			if owned := shard == 0 || shard == 2; filter.Owns(node) != owned {
+				t.Errorf("%s: Owns(%s) = %v on shard %d", tc.name, node, !owned, shard)
+			}
+			filter.Ingest(node, 100, []float64{1}) // must not panic
+		}
 	}
 }
 

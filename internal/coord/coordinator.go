@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,11 +59,9 @@ type Config struct {
 	Summary *summary.Config
 	// WebhookURL, when set, receives coordinator-side deliveries: folded
 	// incident payloads when Summary is on, one raw envelope per accepted
-	// alert when it is off. SummaryRaw keeps the per-envelope stream
-	// flowing next to incidents (debug/migration).
+	// alert when it is off.
 	WebhookURL    string
 	WebhookClient *http.Client
-	SummaryRaw    bool
 
 	// Client performs fan-in scrapes (default: 5s-timeout client).
 	Client *http.Client
@@ -182,8 +181,7 @@ type Coordinator struct {
 	journal *fleetview.Journal
 	bus     *fleetview.Bus
 
-	sum  *summary.Summarizer
-	sink *runtime.WebhookSink
+	egress *summary.Egress[AlertEnvelope]
 
 	met coordMetrics
 	log *slog.Logger
@@ -209,75 +207,38 @@ func New(cfg Config) *Coordinator {
 		done:    make(chan struct{}),
 	}
 	c.journal.SetSource("coordinator")
+	ecfg := summary.EgressConfig[AlertEnvelope]{
+		Summary: cfg.Summary,
+		Event:   eventFromEnvelope,
+		SendRaw: postEnvelope,
+		Journal: c.journalIncident,
+		Metrics: cfg.Metrics,
+		Logger:  cfg.Logger,
+	}
 	if cfg.WebhookURL != "" {
-		c.sink = &runtime.WebhookSink{
+		ecfg.Sink = &runtime.WebhookSink{
 			URL:     cfg.WebhookURL,
 			Client:  cfg.WebhookClient,
 			Metrics: cfg.Metrics,
 		}
 	}
-	if cfg.Summary != nil {
-		scfg := *cfg.Summary
-		if scfg.Metrics == nil {
-			scfg.Metrics = cfg.Metrics
-		}
-		if scfg.Logger == nil {
-			scfg.Logger = cfg.Logger
-		}
-		if scfg.Clock == nil {
-			scfg.Clock = cfg.Clock
-		}
-		prevRaw, prevInc := scfg.OnRaw, scfg.OnIncident
-		scfg.OnRaw = func(e summary.Event) {
-			if prevRaw != nil {
-				prevRaw(e)
-			}
-			env, ok := e.Raw.(AlertEnvelope)
-			if !ok || c.sink == nil {
-				return
-			}
-			c.postEnvelope(env)
-		}
-		scfg.OnIncident = func(inc summary.Incident, tr summary.Transition) {
-			if prevInc != nil {
-				prevInc(inc, tr)
-			}
-			e := c.journal.Append(fleetview.Event{
-				Ts:   inc.LastTs,
-				Kind: fleetview.EventIncident,
-				Detail: fmt.Sprintf("%s=%s id=%s count=%d dimension=%s severity=%.4f",
-					tr, inc.Title, inc.ID, inc.Count, inc.Dimension, inc.Severity),
-				Value: float64(inc.Count),
-			})
-			c.bus.Publish(e)
-			// Webhooks fire on the open and resolve edges only — updates
-			// amend the journaled incident, they are not re-delivered.
-			if c.sink != nil && (tr == summary.Opened || tr == summary.Resolved) {
-				if body, err := summary.WebhookJSON(inc, tr); err == nil {
-					if err := c.sink.SendRaw(body); err != nil && c.log != nil {
-						c.log.Warn("incident webhook delivery failed", "incident", inc.ID, "err", err)
-					}
-				}
-			}
-		}
-		c.sum = summary.New(scfg)
-	}
+	c.egress = summary.NewEgress(ecfg)
 	return c
 }
 
-// Summarizer exposes the merged-fan-in summarization tier (nil without
-// Config.Summary).
-func (c *Coordinator) Summarizer() *summary.Summarizer { return c.sum }
-
 // postEnvelope delivers one raw accepted envelope to the webhook.
-func (c *Coordinator) postEnvelope(env AlertEnvelope) {
+func postEnvelope(sink *runtime.WebhookSink, env AlertEnvelope) error {
 	body, err := json.Marshal(env)
 	if err != nil {
-		return
+		return err
 	}
-	if err := c.sink.SendRaw(body); err != nil && c.log != nil {
-		c.log.Warn("envelope webhook delivery failed", "node", env.Node, "err", err)
-	}
+	return sink.SendRaw(body)
+}
+
+// journalIncident records one incident transition on the merged journal
+// and its SSE bus.
+func (c *Coordinator) journalIncident(inc summary.Incident, tr summary.Transition) {
+	c.bus.Publish(c.journal.Append(fleetview.IncidentEvent(inc, tr)))
 }
 
 // eventFromEnvelope adapts one accepted wire envelope to the clusterer's
@@ -314,11 +275,9 @@ func eventFromEnvelope(env AlertEnvelope) summary.Event {
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.done)
-		// Force-flush the summarizer first: pending envelopes fold and
-		// every open incident resolves while the webhook is still usable.
-		if c.sum != nil {
-			c.sum.Close()
-		}
+		// Force-flush the egress first: pending envelopes fold and every
+		// open incident resolves while the webhook is still usable.
+		c.egress.Close()
 		c.cfg.Client.CloseIdleConnections()
 	})
 }
@@ -350,7 +309,7 @@ func (c *Coordinator) Accepted() []AlertEnvelope {
 
 // Run sweeps leases and fans in scorer state every SweepInterval until
 // ctx is canceled or Close is called.
-func (c *Coordinator) Run(ctx ctxDone) {
+func (c *Coordinator) Run(ctx context.Context) {
 	t := time.NewTicker(c.cfg.SweepInterval)
 	defer t.Stop()
 	for {
@@ -364,9 +323,6 @@ func (c *Coordinator) Run(ctx ctxDone) {
 		}
 	}
 }
-
-// ctxDone is the subset of context.Context Run needs (fleetview's idiom).
-type ctxDone interface{ Done() <-chan struct{} }
 
 // ---- membership ----
 
@@ -584,7 +540,7 @@ func (c *Coordinator) Accept(env AlertEnvelope) AlertVerdict {
 	if len(c.accepted) < c.cfg.LedgerSize {
 		c.accepted = append(c.accepted, env)
 	}
-	// Journal, bus and summarizer all have their own locks, and webhook
+	// Journal, bus and egress all have their own locks, and webhook
 	// delivery blocks on HTTP — none of it belongs under c.mu.
 	c.mu.Unlock()
 	c.met.accepted.Inc()
@@ -596,14 +552,7 @@ func (c *Coordinator) Accept(env AlertEnvelope) AlertVerdict {
 		Value:  env.Score,
 	})
 	c.bus.Publish(e)
-	if c.sum != nil {
-		if c.sink != nil && c.cfg.SummaryRaw {
-			c.postEnvelope(env)
-		}
-		c.sum.Observe(eventFromEnvelope(env))
-	} else if c.sink != nil {
-		c.postEnvelope(env)
-	}
+	c.egress.Observe(env)
 	return AlertVerdict{Status: VerdictAccepted, Epoch: epoch}
 }
 
@@ -682,9 +631,7 @@ func (c *Coordinator) Sweep() {
 	// the last pass cluster into incidents, and incidents quiet past
 	// ResolveAfter resolve. Tests drive this deterministically by calling
 	// Sweep with a fake Clock.
-	if c.sum != nil {
-		c.sum.Flush(c.cfg.Clock())
-	}
+	c.egress.Flush(c.cfg.Clock())
 	c.met.sweeps.Inc()
 }
 

@@ -2,7 +2,12 @@ package coord
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -182,6 +187,69 @@ func TestEpochFencing(t *testing.T) {
 	}
 	if got := len(c.Accepted()); got != 4 {
 		t.Fatalf("accepted ledger holds %d entries, want 4", got)
+	}
+}
+
+// TestWebhookWithoutSummaryDeliversAcceptedEnvelopes covers the egress
+// with Summary off: the webhook receives exactly one envelope body per
+// accepted alert, in acceptance order, and nothing for a fenced or
+// duplicate one.
+func TestWebhookWithoutSummaryDeliversAcceptedEnvelopes(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	var mu sync.Mutex
+	var bodies [][]byte
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, b)
+		mu.Unlock()
+	}))
+	defer hook.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	defer client.CloseIdleConnections()
+
+	c := New(Config{TotalShards: 8, WebhookURL: hook.URL, WebhookClient: client})
+	defer c.Close()
+	if c.egress.Summarizer() != nil {
+		t.Fatal("coordinator grew a summarizer without Config.Summary")
+	}
+	c.Register(ScorerInfo{ID: "scorer-a"})
+	c.Register(ScorerInfo{ID: "scorer-b"})
+	epoch := c.Epoch()
+	nodeA, nodeB := nodeOwnedBy(t, c, "scorer-a"), nodeOwnedBy(t, c, "scorer-b")
+
+	var accepted []AlertEnvelope
+	for _, tc := range []struct {
+		env  AlertEnvelope
+		want string
+	}{
+		{AlertEnvelope{Scorer: "scorer-a", Epoch: epoch, Node: nodeA, Time: 100, Score: 3.5, Level: "Memory"}, VerdictAccepted},
+		{AlertEnvelope{Scorer: "scorer-b", Epoch: epoch, Node: nodeA, Time: 101}, VerdictFenced},
+		{AlertEnvelope{Scorer: "scorer-a", Epoch: epoch, Node: nodeA, Time: 100, Score: 3.5, Level: "Memory"}, VerdictDuplicate},
+		{AlertEnvelope{Scorer: "scorer-b", Epoch: epoch, Node: nodeB, Time: 102, Job: 7, Priority: 1}, VerdictAccepted},
+	} {
+		if v := c.Accept(tc.env); v.Status != tc.want {
+			t.Fatalf("envelope %+v: verdict %s, want %s", tc.env, v.Status, tc.want)
+		}
+		if tc.want == VerdictAccepted {
+			accepted = append(accepted, tc.env)
+		}
+	}
+	c.Sweep() // with nothing to fold, a sweep delivers nothing more
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) != len(accepted) {
+		t.Fatalf("webhook saw %d bodies for %d accepted alerts", len(bodies), len(accepted))
+	}
+	for i, env := range accepted {
+		want, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(bodies[i]) != string(want) {
+			t.Errorf("body %d = %s, want %s", i, bodies[i], want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -37,8 +38,14 @@ func NewShardFilter(sink ingest.Sink, metrics *obs.Registry) *ShardFilter {
 }
 
 // SetAssignment installs a new shard set; samples for unowned shards are
-// filtered from this point on.
-func (f *ShardFilter) SetAssignment(a Assignment) {
+// filtered from this point on. An assignment without a positive
+// TotalShards has no partition lines to place a node on (an empty or
+// mangled coordinator response decodes to one): it is rejected and the
+// previous assignment stays in force.
+func (f *ShardFilter) SetAssignment(a Assignment) error {
+	if a.TotalShards <= 0 {
+		return fmt.Errorf("coord: assignment epoch %d has %d total shards", a.Epoch, a.TotalShards)
+	}
 	owned := make([]bool, a.TotalShards)
 	for _, s := range a.Shards {
 		if s >= 0 && s < len(owned) {
@@ -48,6 +55,7 @@ func (f *ShardFilter) SetAssignment(a Assignment) {
 	f.mu.Lock()
 	f.active, f.owned, f.epoch = true, owned, a.Epoch
 	f.mu.Unlock()
+	return nil
 }
 
 // Epoch returns the epoch of the installed assignment (0 before any).

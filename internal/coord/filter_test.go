@@ -53,7 +53,9 @@ func TestShardFilterEnforcesAssignment(t *testing.T) {
 	f := NewShardFilter(sink, reg)
 
 	// Own shards 0 and 2 of 4.
-	f.SetAssignment(Assignment{Epoch: 5, Scorer: "s", Shards: []int{0, 2}, TotalShards: 4})
+	if err := f.SetAssignment(Assignment{Epoch: 5, Scorer: "s", Shards: []int{0, 2}, TotalShards: 4}); err != nil {
+		t.Fatal(err)
+	}
 	if f.Epoch() != 5 {
 		t.Fatalf("epoch = %d, want 5", f.Epoch())
 	}
@@ -90,7 +92,9 @@ func TestShardFilterEnforcesAssignment(t *testing.T) {
 
 	// Reassignment flips ownership: a previously dropped node passes once
 	// its shard is acquired.
-	f.SetAssignment(Assignment{Epoch: 6, Scorer: "s", Shards: []int{0, 1, 2, 3}, TotalShards: 4})
+	if err := f.SetAssignment(Assignment{Epoch: 6, Scorer: "s", Shards: []int{0, 1, 2, 3}, TotalShards: 4}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 64; i++ {
 		node := fmt.Sprintf("node-%d", i)
 		f.Ingest(node, 200, []float64{1})

@@ -8,7 +8,6 @@ import (
 	"nodesentry/internal/fleetview"
 	"nodesentry/internal/lifecycle"
 	"nodesentry/internal/obs"
-	"nodesentry/internal/summary"
 )
 
 // Handler returns the coordinator's full HTTP surface:
@@ -61,11 +60,7 @@ func (c *Coordinator) Handler() http.Handler {
 		Done:      c.done,
 	})
 	mux.HandleFunc("GET /fleet/incidents", func(w http.ResponseWriter, r *http.Request) {
-		if c.sum != nil {
-			writeJSON(w, c.sum.Incidents())
-			return
-		}
-		writeJSON(w, summary.Snapshot{Open: []summary.Incident{}, Resolved: []summary.Incident{}})
+		writeJSON(w, c.egress.Summarizer().Incidents())
 	})
 	mux.HandleFunc("GET /fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

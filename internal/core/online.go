@@ -174,33 +174,41 @@ func Debounce(preds []bool, minRun int) []bool {
 // mean keeps perfectly flat windows from flagging noise. The same rule is
 // applied to every baseline for a fair comparison.
 func KSigmaThreshold(scores []float64, step, windowSec int64, k float64) []bool {
-	w := int(windowSec / step)
-	if w < 4 {
-		w = 4
-	}
+	w := ksigmaWidth(step, windowSec)
 	preds := make([]bool, len(scores))
 	for t := range scores {
-		lo := t - w
-		if lo < 0 {
-			lo = 0
-		}
-		win := scores[lo:t]
-		if len(win) < 4 {
-			// Too little history: compare against the global head.
-			hi := w
-			if hi > len(scores) {
-				hi = len(scores)
-			}
-			win = scores[:hi]
-		}
-		mean, sd := stats.MeanStd(win)
-		floor := 0.1*mean + 1e-9
-		if sd < floor {
-			sd = floor
-		}
-		preds[t] = scores[t] > mean+k*sd
+		preds[t] = scores[t] > ksigmaBound(scores, t, w, k)
 	}
 	return preds
+}
+
+// KSigmaBound is the bound KSigmaThreshold compares the sample after
+// scores against: mean + k·sigma of the trailing window, sigma floor
+// included. It is what a live monitor reports as a node's current
+// threshold.
+func KSigmaBound(scores []float64, step, windowSec int64, k float64) float64 {
+	return ksigmaBound(scores, len(scores), ksigmaWidth(step, windowSec), k)
+}
+
+// ksigmaWidth is the rule's window length in samples, never under 4.
+func ksigmaWidth(step, windowSec int64) int {
+	return max(int(windowSec/step), 4)
+}
+
+// ksigmaBound is the bound sample t is held to: mean + k·sigma over the w
+// scores before it.
+func ksigmaBound(scores []float64, t, w int, k float64) float64 {
+	win := scores[max(t-w, 0):t]
+	if len(win) < 4 {
+		// Too little history: compare against the global head.
+		win = scores[:min(w, len(scores))]
+	}
+	mean, sd := stats.MeanStd(win)
+	floor := 0.1*mean + 1e-9
+	if sd < floor {
+		sd = floor
+	}
+	return mean + k*sd
 }
 
 // featureVector extracts a segment's normalized (and, when configured,

@@ -12,7 +12,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nodesentry/internal/coord"
@@ -56,8 +55,6 @@ type Config struct {
 	// Listener, when non-nil, serves the push intake (POST /push) until
 	// Close. The daemon owns it from New on.
 	Listener net.Listener
-	// MaxBodyBytes caps one intake body (0 = ingest default).
-	MaxBodyBytes int64
 
 	// ScrapeTargets, when non-empty, runs the pull poller against these
 	// /metrics URLs every ScrapeInterval.
@@ -87,12 +84,8 @@ type Config struct {
 	// per-alert — the coordinator runs its own summarizer over the
 	// merged fan-in.
 	Summary *summary.Config
-	// SummaryRaw additionally delivers every alert per-alert even while
-	// folding — the migration/debug switch that keeps raw webhooks
-	// available next to incidents.
-	SummaryRaw bool
 	// OnIncident, when non-nil, observes every incident transition on
-	// the flushing goroutine (after webhook delivery and journaling).
+	// the flushing goroutine (after journaling, before webhook delivery).
 	OnIncident func(summary.Incident, summary.Transition)
 
 	// Lifecycle, when non-nil, runs the drift→retrain→shadow→swap loop.
@@ -117,9 +110,10 @@ type Config struct {
 	// or off.
 	FleetView *fleetview.Config
 
-	// Metrics, when non-nil, receives every component's series.
+	// Metrics, when non-nil, receives every component's series; it
+	// replaces whatever registry the per-tier configs above carry.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives component logs.
+	// Logger, when non-nil, receives component logs, likewise.
 	Logger *slog.Logger
 }
 
@@ -129,34 +123,34 @@ type Daemon struct {
 	mon    *runtime.Monitor
 	mgr    *lifecycle.Manager
 	fv     *fleetview.Aggregator
-	sum    *summary.Summarizer
 	router *ingest.ShardRouter
-	dec    *ingest.Decoder
 	filter *coord.ShardFilter
 	agent  *coord.Agent
+	egress *summary.Egress[runtime.Alert]
+	dec    *ingest.Decoder
 
 	srv      *http.Server
 	addr     string
 	serveErr chan error
 
-	consumer   sync.WaitGroup
-	scrapeDone chan struct{}
-	scrapeStop context.CancelFunc
-	lcDone     chan struct{}
-	lcCancel   context.CancelFunc
-	fvDone     chan struct{}
-	sumDone    chan struct{}
-	agDone     chan struct{}
-	agCancel   context.CancelFunc
+	// stops holds one stop function per running tier, in start order;
+	// Close runs them last to first.
+	stops []func()
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// New wires and starts the daemon: monitor, alert consumer, optional
-// lifecycle manager, shard router, decoder, optional push server on
-// cfg.Listener, optional scrape poller. On error nothing is left
-// running.
+// New builds every tier in dependency order — monitor, lifecycle manager,
+// fleet aggregator, shard router, shard filter and coordinator agent,
+// alert egress, decoder, intake and scraper — and only then starts them,
+// so a tier built late (the aggregator the lifecycle events are journaled
+// into, the agent the consumer forwards through) is an ordinary field by
+// the time any goroutine reads it. Only the monitor, the manager and the
+// agent can fail to build; on error nothing is left running.
+//
+// To add a tier: construct it in the build half, and give it one
+// start/stop entry at its place in the drain order.
 func New(cfg Config) (*Daemon, error) {
 	mon, err := runtime.NewMonitor(cfg.Detector, runtime.Config{
 		Step:           cfg.Step,
@@ -169,197 +163,43 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Daemon{
-		cfg:        cfg,
-		mon:        mon,
-		serveErr:   make(chan error, 1),
-		scrapeDone: make(chan struct{}),
-		lcDone:     make(chan struct{}),
-		fvDone:     make(chan struct{}),
-		sumDone:    make(chan struct{}),
-		agDone:     make(chan struct{}),
-	}
-
-	// Alert consumer: every alert is logged; with a webhook each is also
-	// delivered through the retrying sink. Runs until Monitor.Close.
-	var sink *runtime.WebhookSink
-	if cfg.WebhookURL != "" {
-		sink = &runtime.WebhookSink{
-			URL:        cfg.WebhookURL,
-			MaxRetries: cfg.WebhookRetries,
-			Backoff:    cfg.WebhookBackoff,
-			Client:     cfg.WebhookClient,
-			Metrics:    cfg.Metrics,
-		}
-	}
-	// The fleetview aggregator is built after the lifecycle manager below
-	// (the manager owns SetHooks; the aggregator Taps on top), but both
-	// lifecycle transitions and incident emissions must reach its journal
-	// — an atomic pointer bridges the construction-order gap race-free.
-	var fvPtr atomic.Pointer[fleetview.Aggregator]
-
-	// Summarization tier: when configured it interposes between the
-	// consumer and the webhook sink. Alerts that fold become one incident
-	// payload per open/resolve transition (via SendRaw); alerts that do
-	// not fold are delivered per-alert through the unchanged Send path.
-	var sum *summary.Summarizer
-	if cfg.Summary != nil {
-		scfg := *cfg.Summary
-		if scfg.Metrics == nil {
-			scfg.Metrics = cfg.Metrics
-		}
-		if scfg.Logger == nil {
-			scfg.Logger = cfg.Logger
-		}
-		prevRaw, prevInc := scfg.OnRaw, scfg.OnIncident
-		scfg.OnRaw = func(e summary.Event) {
-			if prevRaw != nil {
-				prevRaw(e)
-			}
-			a, ok := e.Raw.(runtime.Alert)
-			if !ok || sink == nil {
-				return
-			}
-			if err := sink.Send(a); err != nil && cfg.Logger != nil {
-				cfg.Logger.Warn("webhook delivery failed", "node", a.Node, "err", err)
-			}
-		}
-		scfg.OnIncident = func(inc summary.Incident, tr summary.Transition) {
-			if prevInc != nil {
-				prevInc(inc, tr)
-			}
-			if fv := fvPtr.Load(); fv != nil {
-				fv.RecordIncident(inc, tr)
-			}
-			// Updates amend the journaled incident only; webhooks fire on
-			// the open and resolve edges — the N→1 delivery reduction.
-			if sink != nil && (tr == summary.Opened || tr == summary.Resolved) {
-				if body, err := summary.WebhookJSON(inc, tr); err == nil {
-					if err := sink.SendRaw(body); err != nil && cfg.Logger != nil {
-						cfg.Logger.Warn("incident webhook delivery failed", "incident", inc.ID, "err", err)
-					}
-				}
-			}
-			if cfg.OnIncident != nil {
-				cfg.OnIncident(inc, tr)
-			}
-		}
-		sum = summary.New(scfg)
-		d.sum = sum
-		go func() {
-			defer close(d.sumDone)
-			// Background never cancels; the flush loop exits via
-			// Summarizer.Close in Daemon.Close.
-			sum.Run(context.Background())
-		}()
-	} else {
-		close(d.sumDone)
-	}
-
-	// In scorer mode every alert is additionally forwarded to the
-	// coordinator; the agent is built after the router below, so the
-	// consumer reaches it through an atomic pointer (same bridge as the
-	// fleetview aggregator uses for lifecycle events).
-	var agPtr atomic.Pointer[coord.Agent]
-	d.consumer.Add(1)
-	go func() {
-		defer d.consumer.Done()
-		for a := range mon.Alerts() {
-			if cfg.Logger != nil {
-				cfg.Logger.Info("alert", "node", a.Node, "time", a.Time, "job", a.Job,
-					"score", a.Score, "level", a.Diagnosis.Level)
-			}
-			if sum != nil {
-				if sink != nil && cfg.SummaryRaw {
-					if err := sink.Send(a); err != nil && cfg.Logger != nil {
-						cfg.Logger.Warn("webhook delivery failed", "node", a.Node, "err", err)
-					}
-				}
-				sum.Observe(summary.FromAlert(a))
-			} else if sink != nil {
-				if err := sink.Send(a); err != nil && cfg.Logger != nil {
-					cfg.Logger.Warn("webhook delivery failed", "node", a.Node, "err", err)
-				}
-			}
-			if ag := agPtr.Load(); ag != nil {
-				if _, err := ag.ForwardAlert(a); err != nil && cfg.Logger != nil {
-					cfg.Logger.Warn("alert forward failed", "node", a.Node, "err", err)
-				}
-			}
-			if cfg.OnAlert != nil {
-				cfg.OnAlert(a)
-			}
-		}
-	}()
+	d := &Daemon{cfg: cfg, mon: mon, serveErr: make(chan error, 1)}
 
 	// Lifecycle manager: its sink rides the same stream as the monitor
 	// via a Tee, so the drift detector and retrain buffer see exactly
-	// what is scored. Run gets its own context — it is cancelled only
-	// after the shard queues drain, so buffered events still reach it.
+	// what is scored. Its transitions are journaled by the aggregator
+	// built next (the manager owns SetHooks; the aggregator Taps on top).
 	routerSink := ingest.Sink(mon)
-	lcCtx, lcCancel := context.WithCancel(context.Background())
-	d.lcCancel = lcCancel
 	if cfg.Lifecycle != nil {
 		lcCfg := *cfg.Lifecycle
+		lcCfg.Metrics, lcCfg.Logger = cfg.Metrics, cfg.Logger
 		if cfg.FleetView != nil {
 			prev := lcCfg.OnEvent
 			lcCfg.OnEvent = func(kind, detail string) {
 				if prev != nil {
 					prev(kind, detail)
 				}
-				if fv := fvPtr.Load(); fv != nil {
-					fv.LifecycleEvent(kind, detail)
-				}
+				d.fv.RecordEvent(kind, "", detail, 0)
 			}
 		}
-		mgr, err := lifecycle.NewManager(mon, cfg.Detector, cfg.ActiveID, cfg.Store, lcCfg)
-		if err != nil {
-			lcCancel()
+		if d.mgr, err = lifecycle.NewManager(mon, cfg.Detector, cfg.ActiveID, cfg.Store, lcCfg); err != nil {
 			mon.Close()
-			d.consumer.Wait()
-			if sum != nil {
-				sum.Close()
-				<-d.sumDone
-			}
 			return nil, err
 		}
-		d.mgr = mgr
-		routerSink = ingest.Tee(mon, mgr.Sink())
-		go func() {
-			defer close(d.lcDone)
-			mgr.Run(lcCtx)
-		}()
-	} else {
-		close(d.lcDone)
+		routerSink = ingest.Tee(mon, d.mgr.Sink())
 	}
 
 	// Fleet aggregator: taps the monitor's hook chain after the manager
 	// installed its own, so both observe every match/score/alert.
 	if cfg.FleetView != nil {
 		fvCfg := *cfg.FleetView
-		if fvCfg.Metrics == nil {
-			fvCfg.Metrics = cfg.Metrics
-		}
-		if fvCfg.Logger == nil {
-			fvCfg.Logger = cfg.Logger
-		}
+		fvCfg.Metrics, fvCfg.Logger = cfg.Metrics, cfg.Logger
 		if fvCfg.Source == "" && cfg.Coord != nil {
 			// Scorer events carry the daemon's identity so the
 			// coordinator's merged feed stays gap-free per source.
 			fvCfg.Source = cfg.Coord.ID
 		}
 		d.fv = fleetview.New(mon, fvCfg)
-		if d.sum != nil {
-			d.fv.AttachSummary(d.sum)
-		}
-		fvPtr.Store(d.fv)
-		fv := d.fv
-		go func() {
-			defer close(d.fvDone)
-			fv.Run(lcCtx)
-		}()
-	} else {
-		close(d.fvDone)
 	}
 
 	d.router = ingest.NewShardRouter(routerSink, ingest.RouterConfig{
@@ -372,51 +212,60 @@ func New(cfg Config) (*Daemon, error) {
 	// queue slot. Standalone (Coord nil) wires the decoder straight to the
 	// router — byte-identical to the pre-coordinator daemon.
 	decSink := ingest.Sink(d.router)
-	agCtx, agCancel := context.WithCancel(context.Background())
-	d.agCancel = agCancel
 	if cfg.Coord != nil {
 		d.filter = coord.NewShardFilter(d.router, cfg.Metrics)
 		decSink = d.filter
 		acfg := *cfg.Coord
-		if acfg.Metrics == nil {
-			acfg.Metrics = cfg.Metrics
-		}
-		if acfg.Logger == nil {
-			acfg.Logger = cfg.Logger
-		}
-		ag, err := coord.NewAgent(acfg, d.filter, mon)
-		if err != nil {
+		acfg.Metrics, acfg.Logger = cfg.Metrics, cfg.Logger
+		if d.agent, err = coord.NewAgent(acfg, d.filter, mon); err != nil {
+			// The router has run its drain goroutines since construction.
 			d.router.Drain()
-			lcCancel()
-			<-d.lcDone
-			<-d.fvDone
 			mon.Close()
-			d.consumer.Wait()
-			if sum != nil {
-				sum.Close()
-				<-d.sumDone
-			}
 			return nil, err
 		}
-		d.agent = ag
-		agPtr.Store(ag)
-		go func() {
-			defer close(d.agDone)
-			ag.Run(agCtx)
-		}()
-	} else {
-		close(d.agDone)
+	}
+
+	// Alert egress: raw per-alert bodies, or with Summary one folded body
+	// per incident open/resolve. Scorer→coordinator forwarding stays
+	// per-alert on the consumer; the coordinator folds the merged fan-in.
+	ecfg := summary.EgressConfig[runtime.Alert]{
+		Summary: cfg.Summary,
+		Event:   summary.FromAlert,
+		SendRaw: (*runtime.WebhookSink).Send,
+		Journal: d.journalIncident,
+		Metrics: cfg.Metrics,
+		Logger:  cfg.Logger,
+	}
+	if cfg.WebhookURL != "" {
+		ecfg.Sink = &runtime.WebhookSink{
+			URL:        cfg.WebhookURL,
+			MaxRetries: cfg.WebhookRetries,
+			Backoff:    cfg.WebhookBackoff,
+			Client:     cfg.WebhookClient,
+			Metrics:    cfg.Metrics,
+		}
+	}
+	d.egress = summary.NewEgress(ecfg)
+	if d.fv != nil {
+		d.fv.AttachSummary(d.egress.Summarizer())
 	}
 
 	d.dec = ingest.NewDecoder(decSink, ingest.DecoderConfig{Metrics: cfg.Metrics, Logger: cfg.Logger})
 	for node, metrics := range cfg.Layouts {
 		d.dec.Register(node, metrics)
 	}
-
-	if cfg.Listener != nil {
-		intake := ingest.NewIntake(d.dec, ingest.IntakeConfig{
-			MaxBodyBytes: cfg.MaxBodyBytes, Metrics: cfg.Metrics, Logger: cfg.Logger,
+	var scraper *ingest.Scraper
+	if len(cfg.ScrapeTargets) > 0 {
+		scraper = ingest.NewScraper(d.dec, ingest.ScrapeConfig{
+			Targets:  cfg.ScrapeTargets,
+			Interval: cfg.ScrapeInterval,
+			Client:   cfg.ScrapeClient,
+			Metrics:  cfg.Metrics,
+			Logger:   cfg.Logger,
 		})
+	}
+	if cfg.Listener != nil {
+		intake := ingest.NewIntake(d.dec, ingest.IntakeConfig{Metrics: cfg.Metrics, Logger: cfg.Logger})
 		d.addr = cfg.Listener.Addr().String()
 		d.srv = &http.Server{
 			Handler:           intake.Handler(),
@@ -424,28 +273,96 @@ func New(cfg Config) (*Daemon, error) {
 			ReadTimeout:       30 * time.Second,
 			WriteTimeout:      30 * time.Second,
 		}
-		srv, ln := d.srv, cfg.Listener
-		go func() { d.serveErr <- srv.Serve(ln) }()
 	}
 
-	scrapeCtx, scrapeStop := context.WithCancel(context.Background())
-	d.scrapeStop = scrapeStop
-	if len(cfg.ScrapeTargets) > 0 {
-		scraper := ingest.NewScraper(d.dec, ingest.ScrapeConfig{
-			Targets:  cfg.ScrapeTargets,
-			Interval: cfg.ScrapeInterval,
-			Client:   cfg.ScrapeClient,
-			Metrics:  cfg.Metrics,
-			Logger:   cfg.Logger,
-		})
-		go func() {
-			defer close(d.scrapeDone)
-			scraper.Run(scrapeCtx)
-		}()
-	} else {
-		close(d.scrapeDone)
+	// Start, downstream first: one entry per running tier, each pushing
+	// its stop function. Close runs them last to first, which is the drain
+	// order — after the intake server, which Close stops by itself because
+	// it alone takes Close's context.
+	if d.fv != nil {
+		// After the monitor closes no tap fires; Close just ends any
+		// remaining SSE streams.
+		d.stops = append(d.stops, d.fv.Close)
+	}
+	if d.agent != nil {
+		// The agent outlives the consumer so the last drained alerts still
+		// forward; its shutdown path deregisters gracefully.
+		d.stops = append(d.stops, spawn(d.agent.Run))
+	}
+	// The egress outlives the consumer so the last observed alerts still
+	// fold: its flush loop ends, then its Close delivers the final
+	// transitions before the sink goes quiet.
+	d.stops = append(d.stops, d.egress.Close, spawn(d.egress.Run))
+	// Monitor.Close closes the alert channel, which ends the consumer.
+	d.stops = append(d.stops, spawn(func(context.Context) { d.consume() }), mon.Close)
+	if d.fv != nil {
+		d.stops = append(d.stops, spawn(d.fv.Run))
+	}
+	if d.mgr != nil {
+		// Stopped only after the shard queues drain, so buffered events
+		// still reach it; the stop waits out in-flight retraining.
+		d.stops = append(d.stops, spawn(d.mgr.Run))
+	}
+	d.stops = append(d.stops, func() {
+		if dropped := d.router.Drain(); dropped > 0 && cfg.Logger != nil {
+			cfg.Logger.Warn("shard queues dropped events", "dropped", dropped)
+		}
+	})
+	if scraper != nil {
+		d.stops = append(d.stops, spawn(scraper.Run))
+	}
+	if d.srv != nil {
+		go func() { d.serveErr <- d.srv.Serve(cfg.Listener) }()
 	}
 	return d, nil
+}
+
+// spawn runs fn on its own goroutine and returns its stop function: cancel
+// fn's context, then wait for fn to return.
+func spawn(fn func(context.Context)) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn(ctx)
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
+// consume is the alert consumer: every alert is logged, handed to the
+// egress, in scorer mode forwarded to the coordinator, and shown to
+// Config.OnAlert.
+func (d *Daemon) consume() {
+	log := d.cfg.Logger
+	for a := range d.mon.Alerts() {
+		if log != nil {
+			log.Info("alert", "node", a.Node, "time", a.Time, "job", a.Job,
+				"score", a.Score, "level", a.Diagnosis.Level)
+		}
+		d.egress.Observe(a)
+		if d.agent != nil {
+			if _, err := d.agent.ForwardAlert(a); err != nil && log != nil {
+				log.Warn("alert forward failed", "node", a.Node, "err", err)
+			}
+		}
+		if d.cfg.OnAlert != nil {
+			d.cfg.OnAlert(a)
+		}
+	}
+}
+
+// journalIncident is where the egress records incident transitions: the
+// fleet journal's incident lane, then Config.OnIncident.
+func (d *Daemon) journalIncident(inc summary.Incident, tr summary.Transition) {
+	if d.fv != nil {
+		d.fv.RecordIncident(inc, tr)
+	}
+	if d.cfg.OnIncident != nil {
+		d.cfg.OnIncident(inc, tr)
+	}
 }
 
 // Monitor returns the streaming detection engine.
@@ -460,13 +377,10 @@ func (d *Daemon) FleetView() *fleetview.Aggregator { return d.fv }
 
 // Summarizer returns the alert summarization tier (nil without
 // Config.Summary).
-func (d *Daemon) Summarizer() *summary.Summarizer { return d.sum }
+func (d *Daemon) Summarizer() *summary.Summarizer { return d.egress.Summarizer() }
 
 // Router returns the shard router.
 func (d *Daemon) Router() *ingest.ShardRouter { return d.router }
-
-// Agent returns the coordinator client (nil without Config.Coord).
-func (d *Daemon) Agent() *coord.Agent { return d.agent }
 
 // ShardFilter returns the assignment-enforcing filter between decoder
 // and router (nil without Config.Coord).
@@ -487,9 +401,9 @@ func (d *Daemon) ServeErr() <-chan error { return d.serveErr }
 // Close drains the daemon upstream to downstream — stop accepting,
 // finish the scrape sweep, empty the shard queues, wait out the
 // lifecycle loop (including in-flight retraining), close the monitor,
-// let the alert consumer finish — exactly the order cmd/sentryd's signal
-// handler historically applied. ctx bounds the intake server shutdown.
-// Idempotent; later calls return the first result.
+// let the alert consumer finish, flush the egress, deregister the agent —
+// by running the stop list New built, last entry first. ctx bounds the
+// intake server shutdown. Idempotent; later calls return the first result.
 func (d *Daemon) Close(ctx context.Context) error {
 	d.closeOnce.Do(func() {
 		if d.srv != nil {
@@ -500,31 +414,8 @@ func (d *Daemon) Close(ctx context.Context) error {
 				}
 			}
 		}
-		d.scrapeStop()
-		<-d.scrapeDone
-		if dropped := d.router.Drain(); dropped > 0 && d.cfg.Logger != nil {
-			d.cfg.Logger.Warn("shard queues dropped events", "dropped", dropped)
-		}
-		d.lcCancel()
-		<-d.lcDone
-		<-d.fvDone
-		d.mon.Close()
-		d.consumer.Wait()
-		// The summarizer outlives the consumer so the last observed alerts
-		// still fold; Close force-flushes pending events and resolves every
-		// open incident before the sink goes quiet.
-		if d.sum != nil {
-			d.sum.Close()
-		}
-		<-d.sumDone
-		// The agent outlives the consumer so the last drained alerts still
-		// forward; its shutdown path deregisters gracefully.
-		d.agCancel()
-		<-d.agDone
-		if d.fv != nil {
-			// After the monitor closes no tap fires; Close just ends any
-			// remaining SSE streams.
-			d.fv.Close()
+		for i := len(d.stops) - 1; i >= 0; i-- {
+			d.stops[i]()
 		}
 		if d.cfg.Logger != nil {
 			d.cfg.Logger.Info("drained", "monitor_dropped", d.mon.Dropped())

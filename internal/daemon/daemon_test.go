@@ -183,7 +183,7 @@ func TestStandaloneByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Agent() != nil || d.ShardFilter() != nil {
+	if d.agent != nil || d.ShardFilter() != nil {
 		t.Fatal("standalone daemon grew coordinator components")
 	}
 	pushLines(t, d, lines)

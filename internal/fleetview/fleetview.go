@@ -22,6 +22,7 @@
 package fleetview
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -389,7 +390,7 @@ func (a *Aggregator) Bus() *Bus { return a.bus }
 
 // Run evaluates vicinity residuals every EvalInterval until ctx is
 // canceled or Close is called.
-func (a *Aggregator) Run(ctx ctxDone) {
+func (a *Aggregator) Run(ctx context.Context) {
 	t := time.NewTicker(a.cfg.EvalInterval)
 	defer t.Stop()
 	for {
@@ -403,10 +404,6 @@ func (a *Aggregator) Run(ctx ctxDone) {
 		}
 	}
 }
-
-// ctxDone is the subset of context.Context Run needs; avoids importing
-// context for one method while keeping call sites idiomatic.
-type ctxDone interface{ Done() <-chan struct{} }
 
 // ---- hook tap ----
 
@@ -467,7 +464,7 @@ func (a *Aggregator) onAlert(al runtime.Alert) {
 // ---- event emission ----
 
 // Journal event kinds. Lifecycle and chaos emitters pass their own kind
-// strings through LifecycleEvent/RecordFault; these are the ones the
+// strings through RecordEvent/RecordFault; these are the ones the
 // aggregator itself produces.
 const (
 	EventAlert    = "alert"
@@ -495,12 +492,6 @@ func (a *Aggregator) RecordEvent(kind, node, detail string, value float64) {
 	a.emit(Event{Kind: kind, Node: node, Detail: detail, Value: value})
 }
 
-// LifecycleEvent adapts RecordEvent to the lifecycle.Config.OnEvent
-// callback shape.
-func (a *Aggregator) LifecycleEvent(kind, detail string) {
-	a.RecordEvent(kind, "", detail, 0)
-}
-
 // AttachSummary exposes s on /fleet/incidents and enables the incident
 // event lane. The aggregator only serves the summarizer's state; feeding
 // it stays on the alert consumer's path.
@@ -508,22 +499,24 @@ func (a *Aggregator) AttachSummary(s *summary.Summarizer) {
 	a.sum.Store(s)
 }
 
-// Summary returns the attached summarizer (nil before AttachSummary).
-func (a *Aggregator) Summary() *summary.Summarizer {
-	return a.sum.Load()
+// IncidentEvent renders one incident lifecycle transition as an
+// "incident" journal event — the one shape every journal that carries the
+// semantic lane (a daemon's, the coordinator's merged one) records.
+func IncidentEvent(inc summary.Incident, trans summary.Transition) Event {
+	return Event{
+		Ts:   inc.LastTs,
+		Kind: EventIncident,
+		Detail: fmt.Sprintf("%s=%s id=%s count=%d dimension=%s severity=%.4f",
+			trans, inc.Title, inc.ID, inc.Count, inc.Dimension, inc.Severity),
+		Value: float64(inc.Count),
+	}
 }
 
 // RecordIncident journals one incident lifecycle transition as an
 // "incident" event on the journal and SSE bus — the semantic lane the
 // dashboard renders above the raw alert stream.
 func (a *Aggregator) RecordIncident(inc summary.Incident, trans summary.Transition) {
-	a.emit(Event{
-		Ts:   inc.LastTs,
-		Kind: EventIncident,
-		Detail: fmt.Sprintf("%s=%s id=%s count=%d dimension=%s severity=%.4f",
-			trans, inc.Title, inc.ID, inc.Count, inc.Dimension, inc.Severity),
-		Value: float64(inc.Count),
-	})
+	a.emit(IncidentEvent(inc, trans))
 }
 
 // RecordFault journals n injected chaos faults of the named kind and

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nodesentry/internal/obs"
-	"nodesentry/internal/summary"
 )
 
 //go:embed assets
@@ -219,11 +218,7 @@ func (a *Aggregator) serveNode(w http.ResponseWriter, r *http.Request) {
 // resolved incident sets; without a summarizer it serves an empty
 // snapshot so the dashboard's incident lane degrades gracefully.
 func (a *Aggregator) serveIncidents(w http.ResponseWriter, r *http.Request) {
-	if s := a.sum.Load(); s != nil {
-		writeJSON(w, s.Incidents())
-		return
-	}
-	writeJSON(w, summary.Snapshot{Open: []summary.Incident{}, Resolved: []summary.Incident{}})
+	writeJSON(w, a.sum.Load().Incidents())
 }
 
 func (a *Aggregator) serveEvents(w http.ResponseWriter, r *http.Request) {

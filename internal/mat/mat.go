@@ -143,14 +143,6 @@ func checkNoAlias(op string, dst, src *Matrix) {
 	}
 }
 
-// Mul returns a×b as a fresh matrix. Hot paths use MulInto with an
-// arena-owned destination instead.
-func Mul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MulInto(out, a, b)
-	return out
-}
-
 // MulInto computes dst = a×b, parallelizing over row blocks of a when the
 // product is large. dst is fully overwritten and must not alias a or b.
 // Panics on dimension or aliasing errors.
@@ -224,15 +216,8 @@ func mulTRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// TMul returns aᵀ×b without materializing the transpose. Backward passes
-// use TMulInto with an arena destination.
-func TMul(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
-	TMulInto(out, a, b)
-	return out
-}
-
-// TMulInto computes dst = aᵀ×b. dst is fully overwritten and must not
+// TMulInto computes dst = aᵀ×b without materializing the transpose. dst
+// is fully overwritten and must not
 // alias a or b. Not //perf:hot: the parallel path allocates per-chunk
 // locals (the deterministic chunk-ordered reduction needs them), and the
 // kernel sits on backward passes only.

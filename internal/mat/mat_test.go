@@ -31,6 +31,20 @@ func mulNaive(a, b *Matrix) *Matrix {
 	return out
 }
 
+// product and tproduct run the Into kernels under test into a fresh
+// destination.
+func product(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	MulInto(out, a, b)
+	return out
+}
+
+func tproduct(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	TMulInto(out, a, b)
+	return out
+}
+
 func matricesEqual(a, b *Matrix, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
@@ -48,8 +62,8 @@ func TestMulAgainstNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {17, 9, 23}, {64, 64, 64}, {100, 3, 77}} {
 		a := randMatrix(rng, dims[0], dims[1])
 		b := randMatrix(rng, dims[1], dims[2])
-		if !matricesEqual(Mul(a, b), mulNaive(a, b), 1e-9) {
-			t.Errorf("Mul mismatch for %v", dims)
+		if !matricesEqual(product(a, b), mulNaive(a, b), 1e-9) {
+			t.Errorf("MulInto mismatch for %v", dims)
 		}
 	}
 }
@@ -58,8 +72,8 @@ func TestMulParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randMatrix(rng, 80, 90)
 	b := randMatrix(rng, 90, 70) // 80*90*70 > parallelThreshold
-	if !matricesEqual(Mul(a, b), mulNaive(a, b), 1e-9) {
-		t.Error("parallel Mul mismatch")
+	if !matricesEqual(product(a, b), mulNaive(a, b), 1e-9) {
+		t.Error("parallel MulInto mismatch")
 	}
 }
 
@@ -69,12 +83,12 @@ func TestMulTAndTMul(t *testing.T) {
 	b := randMatrix(rng, 11, 7)
 	ab := New(13, 11)
 	MulTInto(ab, a, b)
-	if !matricesEqual(ab, Mul(a, b.T()), 1e-9) {
+	if !matricesEqual(ab, product(a, b.T()), 1e-9) {
 		t.Error("MulTInto mismatch")
 	}
 	c := randMatrix(rng, 13, 5)
-	if !matricesEqual(TMul(a, c), Mul(a.T(), c), 1e-9) {
-		t.Error("TMul mismatch")
+	if !matricesEqual(tproduct(a, c), product(a.T(), c), 1e-9) {
+		t.Error("TMulInto mismatch")
 	}
 }
 
@@ -82,18 +96,18 @@ func TestTMulParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randMatrix(rng, 120, 60)
 	b := randMatrix(rng, 120, 40)
-	if !matricesEqual(TMul(a, b), Mul(a.T(), b), 1e-8) {
-		t.Error("parallel TMul mismatch")
+	if !matricesEqual(tproduct(a, b), product(a.T(), b), 1e-8) {
+		t.Error("parallel TMulInto mismatch")
 	}
 }
 
 func TestMulPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Mul should panic on dimension mismatch")
+			t.Error("MulInto should panic on dimension mismatch")
 		}
 	}()
-	Mul(New(2, 3), New(4, 5))
+	MulInto(New(2, 5), New(2, 3), New(4, 5))
 }
 
 func TestTransposeInvolution(t *testing.T) {
@@ -215,9 +229,10 @@ func BenchmarkMul128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randMatrix(rng, 128, 128)
 	y := randMatrix(rng, 128, 128)
+	out := New(128, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Mul(x, y)
+		MulInto(out, x, y)
 	}
 }
 

@@ -35,9 +35,9 @@ func TestKernelsParallelSerialEquivalence(t *testing.T) {
 		f    func() *Matrix
 		tol  float64
 	}{
-		{"Mul", func() *Matrix { return Mul(a, b) }, 0},
+		{"MulInto", func() *Matrix { return product(a, b) }, 0},
 		{"MulTInto", func() *Matrix { out := New(a.Rows, bt.Rows); MulTInto(out, a, bt); return out }, 0},
-		{"TMul", func() *Matrix { return TMul(a, c) }, 1e-12},
+		{"TMulInto", func() *Matrix { return tproduct(a, c) }, 1e-12},
 	}
 	for _, tc := range cases {
 		p1 := tc.f()

@@ -52,7 +52,8 @@ func (l *LSTM) Forward(x *mat.Matrix) *mat.Matrix {
 	l.cells = mat.New(T, H)
 	l.hidden = mat.New(T, H)
 
-	pre := mat.Mul(x, l.Wx.W) // [T × 4H]
+	pre := mat.New(T, 4*H)
+	mat.MulInto(pre, x, l.Wx.W)
 	hPrev := make([]float64, H)
 	cPrev := make([]float64, H)
 	for t := 0; t < T; t++ {

@@ -28,7 +28,6 @@ import (
 	"nodesentry/internal/diagnose"
 	"nodesentry/internal/mts"
 	"nodesentry/internal/obs"
-	"nodesentry/internal/stats"
 )
 
 // Alert is one prioritized anomaly notification.
@@ -573,7 +572,7 @@ func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.Nod
 	st.scores = st.scores[:base+len(scores)]
 	copy(st.scores[base:], scores)
 	preds := core.KSigmaThreshold(st.scores, m.cfg.Step, winSec, k)
-	st.lastThr = currentThreshold(st.scores, m.cfg.Step, winSec, k)
+	st.lastThr = core.KSigmaBound(st.scores, m.cfg.Step, winSec, k)
 	if m.obsOn {
 		m.met.thrUpdates.Inc()
 		st.thrGauge.Set(st.lastThr)
@@ -639,31 +638,6 @@ func exceedFactor(scores []float64, i, w int) float64 {
 		return 1
 	}
 	return scores[i] / mean
-}
-
-// currentThreshold reports the k-sigma bound the next sample will be
-// compared against (mean + k·sigma of the trailing window), mirroring
-// core.KSigmaThreshold's window and sigma-floor rules. Purely diagnostic:
-// it never feeds back into detection.
-func currentThreshold(scores []float64, step, windowSec int64, k float64) float64 {
-	w := int(windowSec / step)
-	if w < 4 {
-		w = 4
-	}
-	lo := len(scores) - w
-	if lo < 0 {
-		lo = 0
-	}
-	win := scores[lo:]
-	if len(win) == 0 {
-		return 0
-	}
-	mean, sd := stats.MeanStd(win)
-	floor := 0.1*mean + 1e-9
-	if sd < floor {
-		sd = floor
-	}
-	return mean + k*sd
 }
 
 func (m *Monitor) deliver(st *nodeState, a Alert) {

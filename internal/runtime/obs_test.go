@@ -3,11 +3,13 @@ package runtime
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"nodesentry/internal/core"
 	"nodesentry/internal/obs"
 	"nodesentry/internal/telemetry"
 )
@@ -92,6 +94,46 @@ func TestMonitorMetricsExposed(t *testing.T) {
 		if _, ok := sm[key]; !ok {
 			t.Errorf("missing threshold gauge %s", key)
 		}
+	}
+}
+
+// TestThresholdGaugeIsNextSampleBound pins what nodesentry_threshold_value
+// (and NodeStatus.Threshold) means: the exact bound core.KSigmaThreshold
+// holds the node's next score to. A next score equal to the gauge does not
+// alert; the next float64 above it does.
+func TestThresholdGaugeIsNextSampleBound(t *testing.T) {
+	ds, det := fixture(t)
+	reg := obs.NewRegistry()
+	m, err := NewMonitor(det, Config{Step: ds.Step, ScoringWorkers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Replay(ds, m, ds.SplitTime(), ds.Horizon)
+	winSec, k := det.OnlineParams()
+	checked := 0
+	for _, status := range m.Snapshot() {
+		if status.Consumed == 0 {
+			continue
+		}
+		thr := reg.Gauge("nodesentry_threshold_value", "node", status.Node).Value()
+		if thr != status.Threshold {
+			t.Errorf("%s: gauge %v, NodeStatus.Threshold %v", status.Node, thr, status.Threshold)
+		}
+		st := m.nodes[status.Node]
+		hist := append(append([]float64(nil), st.scores...), 0)
+		last := len(hist) - 1
+		hist[last] = thr
+		if core.KSigmaThreshold(hist, ds.Step, winSec, k)[last] {
+			t.Errorf("%s: a next score equal to the gauge (%v) alerts", status.Node, thr)
+		}
+		hist[last] = math.Nextafter(thr, math.Inf(1))
+		if !core.KSigmaThreshold(hist, ds.Step, winSec, k)[last] {
+			t.Errorf("%s: the next score above the gauge (%v) does not alert", status.Node, thr)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no node scored a window; the check is vacuous")
 	}
 }
 

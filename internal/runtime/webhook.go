@@ -20,19 +20,13 @@ type WebhookSink struct {
 	URL string
 	// Client defaults to a 5-second-timeout client.
 	Client *http.Client
-	// OnError, when set, observes every failed delivery attempt. The sink
-	// never blocks detection: Send runs on the alert consumer's goroutine,
-	// off the scoring path.
-	OnError func(error)
 	// MaxRetries re-attempts a failed delivery up to this many extra
 	// times before giving up (0 keeps the historical fire-once behavior).
+	// The sink never blocks detection: Send runs on the alert consumer's
+	// goroutine, off the scoring path.
 	MaxRetries int
-	// RetryBackoff is slept between attempts (default 100 ms when
-	// retrying). It feeds ingest.Backoff with Factor 1 — the historical
-	// constant delay; set Backoff for exponential growth or jitter.
-	RetryBackoff time.Duration
-	// Backoff, when its Base is set, overrides RetryBackoff with the
-	// full exponential/jittered policy shared with ingest.Forwarder.
+	// Backoff is the delay policy between attempts, shared with
+	// ingest.Forwarder (zero value: 100 ms doubling up to 5 s).
 	Backoff ingest.Backoff
 	// Metrics, when non-nil, counts delivery activity:
 	//
@@ -76,20 +70,15 @@ type webhookPayload struct {
 	} `json:"top_metrics"`
 }
 
-// Send delivers one alert, retrying up to MaxRetries times; each failed
-// attempt goes to OnError, and the last error is returned.
+// Send delivers one alert, retrying up to MaxRetries times; the last
+// attempt's error is returned.
 func (s *WebhookSink) Send(a Alert) error {
-	s.instrument()
-	client := s.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
 	p := webhookPayload{
 		Node:        a.Node,
 		Time:        a.Time,
 		Job:         a.Job,
 		Score:       a.Score,
-		Priority:    priorityName(a.Priority),
+		Priority:    a.Priority.String(),
 		Level:       a.Diagnosis.Level,
 		Remediation: a.Diagnosis.Remediation,
 	}
@@ -102,10 +91,11 @@ func (s *WebhookSink) Send(a Alert) error {
 	}
 	body, err := json.Marshal(p)
 	if err != nil {
+		s.instrument()
 		s.failures.Inc()
-		return s.fail(err)
+		return err
 	}
-	return s.deliver(client, body)
+	return s.SendRaw(body)
 }
 
 // SendRaw delivers a pre-marshaled JSON body through the same retrying
@@ -118,20 +108,11 @@ func (s *WebhookSink) SendRaw(body []byte) error {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	return s.deliver(client, body)
-}
-
-// deliver runs the retry loop for one body.
-func (s *WebhookSink) deliver(client *http.Client, body []byte) error {
-	backoff := s.Backoff
-	if backoff.Base <= 0 {
-		backoff = ingest.Backoff{Base: s.RetryBackoff, Max: s.RetryBackoff, Factor: 1}
-	}
 	var last error
 	for attempt := 0; attempt <= s.MaxRetries; attempt++ {
 		if attempt > 0 {
 			s.retries.Inc()
-			time.Sleep(backoff.Delay(attempt, nil))
+			time.Sleep(s.Backoff.Delay(attempt, nil))
 		}
 		s.attempts.Inc()
 		if last = s.post(client, body); last == nil {
@@ -139,7 +120,6 @@ func (s *WebhookSink) deliver(client *http.Client, body []byte) error {
 			return nil
 		}
 		s.failures.Inc()
-		_ = s.fail(last) // observe every failed attempt
 	}
 	return last
 }
@@ -157,28 +137,8 @@ func (s *WebhookSink) post(client *http.Client, body []byte) error {
 	return nil
 }
 
-func (s *WebhookSink) fail(err error) error {
-	if s.OnError != nil {
-		s.OnError(err)
-	}
-	return err
-}
-
-// Forward consumes the monitor's alert channel, sending every alert to the
-// sink until the channel closes. Run it on its own goroutine; it returns
-// the number of alerts forwarded and how many gave up after retries.
-func (s *WebhookSink) Forward(alerts <-chan Alert) (sent, failed int) {
-	for a := range alerts {
-		if err := s.Send(a); err != nil {
-			failed++
-		} else {
-			sent++
-		}
-	}
-	return sent, failed
-}
-
-func priorityName(p Priority) string {
+// String is the priority's name on the wire: "critical" or "warning".
+func (p Priority) String() string {
 	if p == Critical {
 		return "critical"
 	}

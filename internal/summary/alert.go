@@ -82,7 +82,7 @@ func WebhookJSON(inc Incident, trans Transition) ([]byte, error) {
 		LastTs:    inc.LastTs,
 		Count:     inc.Count,
 		Severity:  inc.Severity,
-		Priority:  priorityName(inc.Priority),
+		Priority:  runtime.Priority(inc.Priority).String(),
 		Constant:  inc.ConstantTags,
 		Varying:   inc.VaryingTags,
 		Dimension: inc.Dimension,
@@ -90,12 +90,4 @@ func WebhookJSON(inc Incident, trans Transition) ([]byte, error) {
 		Truncated: inc.Truncated,
 	}
 	return json.Marshal(p)
-}
-
-// priorityName mirrors the runtime webhook's priority naming.
-func priorityName(p int) string {
-	if p == int(runtime.Critical) {
-		return "critical"
-	}
-	return "warning"
 }

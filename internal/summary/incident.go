@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -253,7 +254,7 @@ func (s *Summarizer) Observe(e Event) {
 
 // Run flushes the pending ring every Window until ctx is canceled or
 // Close is called.
-func (s *Summarizer) Run(ctx ctxDone) {
+func (s *Summarizer) Run(ctx context.Context) {
 	t := time.NewTicker(s.cfg.Window)
 	defer t.Stop()
 	for {
@@ -267,9 +268,6 @@ func (s *Summarizer) Run(ctx ctxDone) {
 		}
 	}
 }
-
-// ctxDone is the subset of context.Context Run needs (fleetview's idiom).
-type ctxDone interface{ Done() <-chan struct{} }
 
 // Close stops Run, folds the pending tail and resolves every open
 // incident, emitting the final transitions. Idempotent.
@@ -476,8 +474,12 @@ type Snapshot struct {
 	Stats    Stats      `json:"stats"`
 }
 
-// Incidents returns the current snapshot.
+// Incidents returns the current snapshot. A nil summarizer — the tier is
+// off — has the empty one, so the surfaces serving it degrade gracefully.
 func (s *Summarizer) Incidents() Snapshot {
+	if s == nil {
+		return Snapshot{Open: []Incident{}, Resolved: []Incident{}}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := Snapshot{

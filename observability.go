@@ -1,10 +1,6 @@
 package nodesentry
 
-import (
-	"net/http"
-
-	"nodesentry/internal/obs"
-)
+import "nodesentry/internal/obs"
 
 // Observability types (internal/obs): a stdlib-only metrics registry with
 // Prometheus text exposition — the collector protocol the paper's §5.1
@@ -13,13 +9,11 @@ import (
 // instrumentation without changing any detection output.
 type (
 	// MetricsRegistry is the concurrent counter/gauge/histogram registry;
-	// pass it via MonitorConfig.Metrics and scrape it with ObsHandler.
+	// pass it via MonitorConfig.Metrics and render it with its WritePrometheus.
 	MetricsRegistry = obs.Registry
 	// StageTracer records per-stage wall time, allocations and item
 	// counts; pass it via TrainInput.Trace.
 	StageTracer = obs.Tracer
-	// StageRecord is one completed stage span.
-	StageRecord = obs.StageRecord
 )
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -28,17 +22,3 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewStageTracer builds a tracer mirroring stage spans into reg (nil keeps
 // records only).
 func NewStageTracer(reg *MetricsRegistry) *StageTracer { return obs.NewTracer(reg) }
-
-// ObsHandler builds the self-scrape endpoint: /metrics (Prometheus text
-// format), /healthz (the optional health check), and /debug/pprof/*.
-// Extra mounts (e.g. FleetView.Mounts()) join the same mux.
-func ObsHandler(reg *MetricsRegistry, health func() error, mounts ...ObsMount) http.Handler {
-	return obs.Handler(reg, health, mounts...)
-}
-
-// ServeObs listens on addr and serves ObsHandler in the background,
-// returning the server (close it to stop) and the resolved address —
-// ":0" picks a free port.
-func ServeObs(addr string, reg *MetricsRegistry, health func() error, mounts ...ObsMount) (*http.Server, string, error) {
-	return obs.Serve(addr, reg, health, mounts...)
-}

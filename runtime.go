@@ -1,10 +1,6 @@
 package nodesentry
 
-import (
-	"nodesentry/internal/diagnose"
-
-	"nodesentry/internal/runtime"
-)
+import "nodesentry/internal/runtime"
 
 // Deployment-runtime types (the paper's §5.1 workflow, Fig. 7).
 type (
@@ -16,16 +12,11 @@ type (
 	MonitorConfig = runtime.Config
 	// Alert is one prioritized anomaly notification with diagnosis.
 	Alert = runtime.Alert
-	// DiagnosisReport attributes an alarm to metrics and a Table 1 fault
-	// level.
-	DiagnosisReport = diagnose.Report
 )
 
-// Alert priorities.
-const (
-	Warning  = runtime.Warning
-	Critical = runtime.Critical
-)
+// Critical is the higher of an Alert's two priorities; the other, a
+// warning, is the zero value.
+const Critical = runtime.Critical
 
 // NewMonitor builds a streaming monitor around a trained detector, cloning
 // it for the scoring worker pool.
@@ -39,14 +30,3 @@ func NewMonitor(det *Detector, cfg MonitorConfig) (*Monitor, error) {
 func ReplayDataset(ds *Dataset, m *Monitor, from, to int64) []Alert {
 	return runtime.Replay(ds, m, from, to)
 }
-
-// DiagnoseAlarm attributes an alarm at sample index `at` of a raw frame to
-// the deviating metrics and a Table 1 fault level, with the suggested
-// remediation (as in the paper's §5.2 case study).
-func DiagnoseAlarm(det *Detector, frame *NodeFrame, at, topN int) DiagnosisReport {
-	return diagnose.Alarm(det, frame, at, topN)
-}
-
-// CloneDetector returns an independent copy of a detector, safe for use
-// from another goroutine.
-func CloneDetector(d *Detector) (*Detector, error) { return d.Clone() }
