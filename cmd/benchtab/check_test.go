@@ -19,11 +19,11 @@ func baseFixture() []obs.StageRecord {
 	return []obs.StageRecord{
 		rec("table5", 10*time.Second, 1_000_000, 2_000_000_000),
 		rec("pca", 8*time.Second, 800_000, 1_500_000_000),
-		rec("table3", 80*time.Microsecond, 185, 22_992), // below both noise floors
+		rec("table3", 80*time.Microsecond, 185, 22_992), // below the allocation noise floor
 	}
 }
 
-func opts() checkOpts { return defaultCheckOpts(20, 10) }
+func opts() checkOpts { return defaultCheckOpts(10) }
 
 func stagesOf(viols []violation) string {
 	var b strings.Builder
@@ -37,28 +37,12 @@ func stagesOf(viols []violation) string {
 func TestCheckCleanRunPasses(t *testing.T) {
 	base := baseFixture()
 	fresh := []obs.StageRecord{
-		rec("table5", 11*time.Second, 1_050_000, 2_100_000_000), // +10% wall, +5% allocs: within bounds
-		rec("pca", 7*time.Second, 790_000, 1_400_000_000),       // faster is always fine
-		rec("table3", 200*time.Microsecond, 500, 60_000),        // huge relative drift, under noise floors
+		rec("table5", 13*time.Second, 1_050_000, 2_100_000_000), // +5% allocs: within bounds; wall is not gated
+		rec("pca", 7*time.Second, 790_000, 1_400_000_000),
+		rec("table3", 200*time.Microsecond, 500, 60_000), // huge relative drift, under the noise floor
 	}
 	if viols := compareBench(base, fresh, opts(), true); len(viols) != 0 {
 		t.Fatalf("clean run flagged: %s", stagesOf(viols))
-	}
-}
-
-func TestCheckWallRegressionNamesStage(t *testing.T) {
-	base := baseFixture()
-	fresh := []obs.StageRecord{
-		rec("table5", 13*time.Second, 1_000_000, 2_000_000_000), // +30% wall
-		rec("pca", 8*time.Second, 800_000, 1_500_000_000),
-		rec("table3", 80*time.Microsecond, 185, 22_992),
-	}
-	viols := compareBench(base, fresh, opts(), true)
-	if len(viols) != 1 {
-		t.Fatalf("want 1 violation, got %d: %s", len(viols), stagesOf(viols))
-	}
-	if viols[0].Stage != "table5" || !strings.Contains(viols[0].Reason, "wall") {
-		t.Fatalf("violation does not name the offending stage/metric: %s", viols[0])
 	}
 }
 

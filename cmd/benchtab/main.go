@@ -30,7 +30,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run at reduced scale")
 	jsonOut := flag.Bool("json", false, "write per-experiment stage timings (wall, allocs, bytes) to BENCH_obs.json")
 	check := flag.Bool("check", false, "compare this run's stage records against the committed BENCH_obs.json and exit 4 on drift (implies tracing; does not rewrite the baseline)")
-	checkWall := flag.Float64("check-wall-pct", 20, "with -check: allowed one-sided wall-time regression in percent")
 	checkAlloc := flag.Float64("check-alloc-pct", 10, "with -check: allowed two-sided allocation drift in percent (counts and bytes)")
 	flag.Parse()
 
@@ -135,7 +134,7 @@ func main() {
 		if !*check {
 			return
 		}
-		opts := defaultCheckOpts(*checkWall, *checkAlloc)
+		opts := defaultCheckOpts(*checkAlloc)
 		if !checkAgainst("BENCH_obs.json", tracer.Records(), opts, *exp == "all", os.Stdout) {
 			os.Exit(4)
 		}

@@ -84,11 +84,12 @@ type TrainStats struct {
 }
 
 // Detector is a trained NodeSentry instance. Train builds it; Detect and
-// IncrementalUpdate use it. A Detector is safe for concurrent Detect calls
-// on different nodes only if the caller serializes access per cluster
-// model; the simple rule is: Detect from one goroutine, or Clone the
-// detector. (The benchmark harness detects nodes sequentially, as the
-// paper's per-node online latency is the reported quantity.)
+// IncrementalUpdate use it. A Detector is not safe for concurrent use —
+// every scoring call, Detect included, packs its windows into one
+// detector-owned scratch and runs the cluster models' cached layers: use it
+// from one goroutine, or Clone it per goroutine. (The benchmark harness
+// detects nodes sequentially, as the paper's per-node online latency is the
+// reported quantity.)
 type Detector struct {
 	opts Options
 
@@ -286,9 +287,7 @@ func ensureNonEmpty(labels []int, k int) {
 
 // trainClusterModel trains the shared model of cluster c on the K segments
 // nearest its centroid (a form of data augmentation per §3.4), with
-// MAC-derived WMSE weights and segment-aware positional encoding. The
-// context is checked between epochs — the granularity at which cancellation
-// is cheap and deterministic.
+// MAC-derived WMSE weights and segment-aware positional encoding.
 func (d *Detector) trainClusterModel(ctx context.Context, c int, F *mat.Matrix, labels []int, segments []mts.Segment, frames map[string]*mts.NodeFrame) (*clusterModel, error) {
 	reps := cluster.NearestMembers(F, labels, d.centroids.Row(c), c, d.opts.RepSegments)
 	if len(reps) == 0 {
@@ -319,10 +318,6 @@ func (d *Detector) trainClusterModel(ctx context.Context, c int, F *mat.Matrix, 
 			macs[m] = total / n
 		}
 	}
-	weights := nn.MACWeights(macs)
-	if d.opts.UniformLossWeights {
-		weights = nil
-	}
 
 	// Build training windows across the representative segments.
 	var wins []trainWindow
@@ -332,26 +327,67 @@ func (d *Detector) trainClusterModel(ctx context.Context, c int, F *mat.Matrix, 
 	}
 	rng := rand.New(rand.NewSource(d.opts.Seed + int64(c)*131))
 	rng.Shuffle(len(wins), func(i, j int) { wins[i], wins[j] = wins[j], wins[i] })
-	if d.opts.MaxWindowsPerCluster > 0 && len(wins) > d.opts.MaxWindowsPerCluster {
-		wins = wins[:d.opts.MaxWindowsPerCluster]
-	}
 
-	cfg := d.opts.Model
-	cfg.InputDim = dim
-	cfg.UseMoE = !d.opts.DenseFFN
-	cfg.SegmentAwarePE = !d.opts.FlatPositionalEncoding
-	cfg.Seed = d.opts.Seed + int64(c)*977
-	model, err := nn.NewReconstructor(cfg)
+	cm, err := d.trainModel(ctx, c, macs, d.capWindows(wins), d.opts.Epochs)
 	if err != nil {
 		return nil, err
 	}
+	cm.radius = radius
+	return cm, nil
+}
+
+// capWindows applies the per-cluster training-window cap.
+func (d *Detector) capWindows(wins []trainWindow) []trainWindow {
+	if d.opts.MaxWindowsPerCluster > 0 && len(wins) > d.opts.MaxWindowsPerCluster {
+		return wins[:d.opts.MaxWindowsPerCluster]
+	}
+	return wins
+}
+
+// newModel builds library entry id's reconstructor from the detector options:
+// the one mapping from Options (ablation switches, seed) to an architecture,
+// shared by training, Clone and Load so a rebuilt model always fits the
+// parameters trained for it.
+func newModel(opts Options, inputDim, id int) (*nn.Reconstructor, error) {
+	cfg := opts.Model
+	cfg.InputDim = inputDim
+	cfg.UseMoE = !opts.DenseFFN
+	cfg.SegmentAwarePE = !opts.FlatPositionalEncoding
+	cfg.Seed = opts.Seed + int64(id)*977
+	return nn.NewReconstructor(cfg)
+}
+
+// trainModel is the shared tail of cluster training, for Train's clusters
+// and the ones IncrementalUpdate spawns: derive the WMSE weights from the
+// cluster's per-metric MAC (or none, under the uniform-weights ablation),
+// build library entry id's model, fit it on wins and calibrate its score
+// scale. The caller sets the match radius.
+func (d *Detector) trainModel(ctx context.Context, id int, macs []float64, wins []trainWindow, epochs int) (*clusterModel, error) {
+	weights := nn.MACWeights(macs)
+	if d.opts.UniformLossWeights {
+		weights = nil
+	}
+	model, err := newModel(d.opts, len(macs), id)
+	if err != nil {
+		return nil, err
+	}
+	if err := fit(ctx, model, wins, weights, d.opts.LR, epochs); err != nil {
+		return nil, err
+	}
+	return &clusterModel{model: model, weights: weights, scale: calibrate(model, wins, weights)}, nil
+}
+
+// fit runs epochs Adam passes of model over wins under the weighted
+// reconstruction loss. The context is checked between epochs — the
+// granularity at which cancellation is cheap and deterministic.
+func fit(ctx context.Context, model *nn.Reconstructor, wins []trainWindow, weights []float64, lr float64, epochs int) error {
 	// Params returns stable pointers, so hoist the (allocating) walk out of
 	// the step loop.
 	params := model.Params()
-	opt := nn.NewAdam(params, d.opts.LR)
-	for epoch := 0; epoch < d.opts.Epochs; epoch++ {
+	opt := nn.NewAdam(params, lr)
+	for epoch := 0; epoch < epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: training canceled: %w", err)
+			return fmt.Errorf("core: training canceled: %w", err)
 		}
 		for _, w := range wins {
 			out := model.Forward(w.x, w.positions, w.segIDs)
@@ -361,17 +397,22 @@ func (d *Detector) trainClusterModel(ctx context.Context, c int, F *mat.Matrix, 
 			opt.Step()
 		}
 	}
-	// Calibrate the cluster's score scale on its own training windows.
-	var trainErrs []float64
+	return nil
+}
+
+// calibrate returns a cluster's score scale: the median reconstruction error
+// of the model over its own training windows (1 when that is degenerate).
+func calibrate(model *nn.Reconstructor, wins []trainWindow, weights []float64) float64 {
+	var errs []float64
 	for _, w := range wins {
 		out := model.Forward(w.x, w.positions, w.segIDs)
-		trainErrs = append(trainErrs, nn.ReconErrors(out, w.x, weights)...)
+		errs = append(errs, nn.ReconErrors(out, w.x, weights)...)
 	}
-	scale := stats.Median(trainErrs)
+	scale := stats.Median(errs)
 	if !(scale > 1e-9) {
 		scale = 1
 	}
-	return &clusterModel{model: model, weights: weights, radius: radius, scale: scale}, nil
+	return scale
 }
 
 // trainWindow is one token window with its positional metadata.

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"nodesentry/internal/cluster"
 	"nodesentry/internal/features"
 	"nodesentry/internal/mat"
 	"nodesentry/internal/mts"
-	"nodesentry/internal/nn"
 	"nodesentry/internal/preprocess"
 	"nodesentry/internal/stats"
 )
@@ -67,10 +67,7 @@ type Result struct {
 // the node's job spans over the frame's time range (from the scheduler);
 // they drive segmentation and pattern matching.
 func (d *Detector) Detect(frame *mts.NodeFrame, spans []mts.JobSpan) *Result {
-	f := frame.Clone()
-	preprocess.Clean(f)
-	f = d.red.Apply(f)
-	d.std.Apply(f)
+	f := d.Preprocess(frame)
 
 	res := &Result{Node: frame.Node, Scores: make([]float64, f.Len())}
 	segs := preprocess.Segment(f, spans, 2)
@@ -81,7 +78,7 @@ func (d *Detector) Detect(frame *mts.NodeFrame, spans []mts.JobSpan) *Result {
 	for _, seg := range segs {
 		asg := d.matchSegment(f, seg)
 		res.Assignments = append(res.Assignments, asg)
-		d.scoreSegment(f, seg, asg.Cluster, res.Scores)
+		d.scoreSegment(f, seg, d.library[asg.Cluster], res.Scores)
 	}
 	// Threshold each segment's score stream independently: the k-sigma
 	// window must not mix scores produced by different cluster models, or
@@ -114,25 +111,6 @@ func (d *Detector) matchSegment(f *mts.NodeFrame, seg mts.Segment) SegmentAssign
 		Cluster:  c,
 		Distance: dist,
 		Matched:  dist <= d.library[c].radius*1.5,
-	}
-}
-
-// scoreSegment reconstructs the segment with its cluster's shared model and
-// writes the per-sample weighted reconstruction errors into scores.
-func (d *Detector) scoreSegment(f *mts.NodeFrame, seg mts.Segment, c int, scores []float64) {
-	cm := d.library[c]
-	inv := 1.0
-	if cm.scale > 0 {
-		inv = 1 / cm.scale
-	}
-	for _, w := range segmentWindows(f, seg, 0, d.opts.WindowLen) {
-		out := cm.model.Forward(w.x, w.positions, w.segIDs)
-		errs := nn.ReconErrors(out, w.x, cm.weights)
-		for i, e := range errs {
-			// positions carry the job-true offset; subtract it to recover
-			// the frame index.
-			scores[seg.Lo+w.positions[i]-seg.Offset] = e * inv
-		}
 	}
 }
 
@@ -182,12 +160,15 @@ func KSigmaThreshold(scores []float64, step, windowSec int64, k float64) []bool 
 	return preds
 }
 
-// KSigmaBound is the bound KSigmaThreshold compares the sample after
-// scores against: mean + k·sigma of the trailing window, sigma floor
-// included. It is what a live monitor reports as a node's current
-// threshold.
-func KSigmaBound(scores []float64, step, windowSec int64, k float64) float64 {
-	return ksigmaBound(scores, len(scores), ksigmaWidth(step, windowSec), k)
+// KSigmaBoundAt is the bound KSigmaThreshold holds sample t of scores to:
+// mean + k·sigma of the trailing window before t, sigma floor included — so
+// a streaming caller can threshold only the samples it just appended. scores
+// must be the whole history, not a tail of it: with fewer than four samples
+// before t the rule falls back to the history's head. t may be len(scores),
+// the bound the next sample will face, which is what a live monitor reports
+// as a node's current threshold.
+func KSigmaBoundAt(scores []float64, t int, step, windowSec int64, k float64) float64 {
+	return ksigmaBound(scores, t, ksigmaWidth(step, windowSec), k)
 }
 
 // ksigmaWidth is the rule's window length in samples, never under 4.
@@ -229,44 +210,6 @@ func (d *Detector) MatchPattern(frame *mts.NodeFrame) SegmentAssignment {
 	f := d.preprocessInto(frame)
 	seg := mts.Segment{Node: f.Node, Job: mts.IdleJobID, Lo: 0, Hi: f.Len()}
 	return d.matchSegment(f, seg)
-}
-
-// ScoreFrame scores a raw frame with a specific cluster's model, returning
-// one normalized reconstruction-error score per sample. offset is the
-// frame's first-sample position within its job, so streaming windows keep
-// job-aligned positional encodings.
-func (d *Detector) ScoreFrame(frame *mts.NodeFrame, cluster int, offset int) []float64 {
-	if cluster < 0 || cluster >= len(d.library) {
-		return make([]float64, frame.Len())
-	}
-	f := d.preprocessInto(frame)
-	n := f.Len()
-	scores := make([]float64, n)
-	if n > 0 && n <= d.opts.WindowLen {
-		// Streaming fast path: the frame is a single model window, so the
-		// window matrix is packed straight into detector scratch instead
-		// of going through segmentWindows' per-call allocations. The
-		// arithmetic is the window-for-window same as scoreSegment's.
-		cm := d.library[cluster]
-		inv := 1.0
-		if cm.scale > 0 {
-			inv = 1 / cm.scale
-		}
-		s := &d.scratch
-		s.x = growMat(s.x, n, d.red.NumOutput())
-		s.positions = mat.GrowInts(s.positions, n)
-		s.segIDs = mat.GrowInts(s.segIDs, n)
-		s.windowInto(f, 0, n, offset)
-		pred := cm.model.ForwardWindows(s.x, n, s.positions, s.segIDs)
-		nn.ReconErrorsInto(scores, pred, s.x, cm.weights)
-		for t := range scores {
-			scores[t] *= inv
-		}
-		return scores
-	}
-	seg := mts.Segment{Node: f.Node, Job: mts.IdleJobID, Lo: 0, Hi: n, Offset: offset}
-	d.scoreSegment(f, seg, cluster, scores)
-	return scores
 }
 
 // WindowLen returns the model's token-window length.
@@ -318,10 +261,7 @@ func (d *Detector) IncrementalUpdate(frame *mts.NodeFrame, spans []mts.JobSpan, 
 	if epochs <= 0 {
 		epochs = 1
 	}
-	f := frame.Clone()
-	preprocess.Clean(f)
-	f = d.red.Apply(f)
-	d.std.Apply(f)
+	f := d.Preprocess(frame)
 
 	var rep UpdateReport
 	segs := preprocess.Segment(f, spans, d.opts.MinSegmentLen)
@@ -337,7 +277,9 @@ func (d *Detector) IncrementalUpdate(frame *mts.NodeFrame, spans []mts.JobSpan, 
 		c, dist := cluster.Assign(v, d.centroids)
 		if dist <= d.library[c].radius*1.5 {
 			rep.MatchedSegments++
-			d.fineTune(c, f, seg, epochs)
+			if err := d.fineTune(c, f, seg, epochs); err != nil {
+				return rep, err
+			}
 			// Exponential centroid drift toward the new pattern.
 			crow := d.centroids.Row(c)
 			for j := range crow {
@@ -383,7 +325,7 @@ func (d *Detector) IncrementalUpdate(frame *mts.NodeFrame, spans []mts.JobSpan, 
 		if math.IsNaN(radius) || radius == 0 {
 			radius = 1
 		}
-		cm, err := d.trainNewClusterModel(global, F, labels, c, segsNew, frames, epochs)
+		cm, err := d.trainNewClusterModel(global, labels, c, segsNew, frames, epochs)
 		if err != nil {
 			return rep, err
 		}
@@ -396,29 +338,17 @@ func (d *Detector) IncrementalUpdate(frame *mts.NodeFrame, spans []mts.JobSpan, 
 }
 
 // fineTune runs a few epochs of the cluster's model on one new segment.
-func (d *Detector) fineTune(c int, f *mts.NodeFrame, seg mts.Segment, epochs int) {
+func (d *Detector) fineTune(c int, f *mts.NodeFrame, seg mts.Segment, epochs int) error {
 	cm := d.library[c]
-	wins := segmentWindows(f, seg, 0, d.opts.WindowLen)
-	if d.opts.MaxWindowsPerCluster > 0 && len(wins) > d.opts.MaxWindowsPerCluster {
-		wins = wins[:d.opts.MaxWindowsPerCluster]
-	}
-	params := cm.model.Params()
-	opt := nn.NewAdam(params, d.opts.LR*0.3) // gentler fine-tuning
-	for e := 0; e < epochs; e++ {
-		for _, w := range wins {
-			out := cm.model.Forward(w.x, w.positions, w.segIDs)
-			_, grad := nn.WMSE(out, w.x, cm.weights)
-			cm.model.Backward(grad)
-			nn.ClipGradients(params, 5)
-			opt.Step()
-		}
-	}
+	wins := d.capWindows(segmentWindows(f, seg, 0, d.opts.WindowLen))
+	// IncrementalUpdate's signature carries no context to hand on.
+	return fit(context.TODO(), cm.model, wins, cm.weights, d.opts.LR*0.3, epochs) // gentler fine-tuning
 }
 
-// trainNewClusterModel builds and trains a model for a spawned cluster.
-func (d *Detector) trainNewClusterModel(globalID int, F *mat.Matrix, labels []int, c int, segs []mts.Segment, frames map[string]*mts.NodeFrame, epochs int) (*clusterModel, error) {
-	dim := d.red.NumOutput()
-	macs := make([]float64, dim)
+// trainNewClusterModel builds and trains a model for a spawned cluster, with
+// loss weights from the mean MAC of the segments that founded it.
+func (d *Detector) trainNewClusterModel(globalID int, labels []int, c int, segs []mts.Segment, frames map[string]*mts.NodeFrame, epochs int) (*clusterModel, error) {
+	macs := make([]float64, d.red.NumOutput())
 	var wins []trainWindow
 	segID := 0
 	for i, l := range labels {
@@ -426,7 +356,7 @@ func (d *Detector) trainNewClusterModel(globalID int, F *mat.Matrix, labels []in
 			continue
 		}
 		seg := segs[i]
-		for m := 0; m < dim; m++ {
+		for m := range macs {
 			macs[m] += stats.MAC(frames[seg.Node].Data[m][seg.Lo:seg.Hi])
 		}
 		wins = append(wins, segmentWindows(frames[seg.Node], seg, segID, d.opts.WindowLen)...)
@@ -437,40 +367,7 @@ func (d *Detector) trainNewClusterModel(globalID int, F *mat.Matrix, labels []in
 			macs[m] /= float64(segID)
 		}
 	}
-	weights := nn.MACWeights(macs)
-	cfg := d.opts.Model
-	cfg.InputDim = dim
-	cfg.UseMoE = !d.opts.DenseFFN
-	cfg.SegmentAwarePE = !d.opts.FlatPositionalEncoding
-	cfg.Seed = d.opts.Seed + int64(globalID)*977
-	model, err := nn.NewReconstructor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	params := model.Params()
-	opt := nn.NewAdam(params, d.opts.LR)
-	if d.opts.MaxWindowsPerCluster > 0 && len(wins) > d.opts.MaxWindowsPerCluster {
-		wins = wins[:d.opts.MaxWindowsPerCluster]
-	}
-	for e := 0; e < epochs; e++ {
-		for _, w := range wins {
-			out := model.Forward(w.x, w.positions, w.segIDs)
-			_, grad := nn.WMSE(out, w.x, weights)
-			model.Backward(grad)
-			nn.ClipGradients(params, 5)
-			opt.Step()
-		}
-	}
-	var trainErrs []float64
-	for _, w := range wins {
-		out := model.Forward(w.x, w.positions, w.segIDs)
-		trainErrs = append(trainErrs, nn.ReconErrors(out, w.x, weights)...)
-	}
-	scale := stats.Median(trainErrs)
-	if !(scale > 1e-9) {
-		scale = 1
-	}
-	return &clusterModel{model: model, weights: weights, scale: scale}, nil
+	return d.trainModel(context.TODO(), globalID, macs, d.capWindows(wins), epochs)
 }
 
 func appendRow(m *mat.Matrix, row []float64) *mat.Matrix {

@@ -7,7 +7,6 @@ import (
 
 	"nodesentry/internal/cluster"
 	"nodesentry/internal/mat"
-	"nodesentry/internal/nn"
 	"nodesentry/internal/preprocess"
 )
 
@@ -94,12 +93,7 @@ func (d *Detector) Clone() (*Detector, error) {
 	}
 	dim := d.red.NumOutput()
 	for i, cm := range d.library {
-		cfg := d.opts.Model
-		cfg.InputDim = dim
-		cfg.UseMoE = !d.opts.DenseFFN
-		cfg.SegmentAwarePE = !d.opts.FlatPositionalEncoding
-		cfg.Seed = d.opts.Seed + int64(i)*977
-		model, err := nn.NewReconstructor(cfg)
+		model, err := newModel(d.opts, dim, i)
 		if err != nil {
 			return nil, err
 		}
@@ -169,12 +163,7 @@ func Load(r io.Reader) (d *Detector, err error) {
 		Stats:     snap.Stats,
 	}
 	for i, ms := range snap.Models {
-		cfg := snap.Opts.Model
-		cfg.InputDim = snap.InputDim
-		cfg.UseMoE = !snap.Opts.DenseFFN
-		cfg.SegmentAwarePE = !snap.Opts.FlatPositionalEncoding
-		cfg.Seed = snap.Opts.Seed + int64(i)*977
-		model, err := nn.NewReconstructor(cfg)
+		model, err := newModel(snap.Opts, snap.InputDim, i)
 		if err != nil {
 			return nil, err
 		}

@@ -1,64 +1,62 @@
 package mat
 
-// shapeKey keys an arena pool by exact matrix shape.
-type shapeKey struct{ rows, cols int }
-
-// shapePool is one shape's grow-once free list: mats[0:next] are handed
-// out, mats[next:] are available.
-type shapePool struct {
-	mats []*Matrix
-	next int
-}
-
-// Arena is a grow-once pool of matrices keyed by shape, built for hot
-// forward/backward passes that allocate the same tensor shapes on every
-// invocation. Get hands out a zeroed matrix; Reset returns every matrix to
-// the pool at once without freeing backing storage, so a steady-state
-// Get/Reset cycle allocates nothing.
+// Arena is a bump allocator over one grow-once slab, built for hot
+// forward/backward passes that need many short-lived tensors per
+// invocation. Get hands out the next rows·cols floats of the slab as a
+// zeroed matrix; Reset takes every matrix back at once without freeing the
+// slab, so a Get/Reset cycle allocates nothing for any shape sequence whose
+// total fits the largest pass seen — and the arena retains that largest
+// pass, not a buffer set per shape.
 //
-// Ownership contract: a matrix returned by Get belongs to the caller only
-// until the next Reset — after that the arena may hand the same backing
-// storage to a later Get. Callers that must retain data across a Reset
+// Ownership contract: a matrix returned by Get — header and storage —
+// belongs to the caller only until the next Reset; after that the arena
+// hands both to later Gets. Callers that must retain data across a Reset
 // copy it out (Matrix.Clone). An Arena is NOT safe for concurrent use;
 // give each goroutine (each model instance) its own.
 type Arena struct {
-	pools map[shapeKey]*shapePool
-	live  int
+	slab []float64
+	// off counts the floats requested since the last Reset. Past len(slab)
+	// the pass has overflowed: the slab cannot move while its matrices are
+	// live, so the rest of the pass is served by fresh allocations and the
+	// next Reset grows the slab to the pass's total.
+	off int
+	// hdrs[:live] are the handed-out matrix headers, recycled like the slab.
+	hdrs []*Matrix
+	live int
 }
 
 // NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{pools: map[shapeKey]*shapePool{}} }
+func NewArena() *Arena { return &Arena{} }
 
 // Get returns a zeroed rows×cols matrix owned by the arena until the next
-// Reset. Repeated Get calls — even for the same shape — return distinct
-// matrices, so two live tensors never alias.
+// Reset. Live matrices never alias: each is a capacity-capped view of its
+// own slab range, so the kernels' alias check (which compares the final
+// elements of the capacity-extended slices) tells two handouts apart.
 func (a *Arena) Get(rows, cols int) *Matrix {
-	k := shapeKey{rows, cols}
-	p := a.pools[k]
-	if p == nil {
-		p = &shapePool{}
-		a.pools[k] = p
+	if a.live == len(a.hdrs) {
+		a.hdrs = append(a.hdrs, new(Matrix))
 	}
+	m := a.hdrs[a.live]
 	a.live++
-	if p.next < len(p.mats) {
-		m := p.mats[p.next]
-		p.next++
-		m.Zero()
-		return m
+	end := a.off + rows*cols
+	if end <= len(a.slab) {
+		m.Data = a.slab[a.off:end:end]
+		clear(m.Data)
+	} else {
+		m.Data = make([]float64, rows*cols)
 	}
-	m := New(rows, cols)
-	p.mats = append(p.mats, m)
-	p.next++
+	a.off = end
+	m.Rows, m.Cols = rows, cols
 	return m
 }
 
-// Reset returns every handed-out matrix to the pool. Matrices obtained
-// from Get before the Reset must not be used afterwards.
+// Reset takes back every handed-out matrix. Matrices obtained from Get
+// before the Reset must not be used afterwards.
 func (a *Arena) Reset() {
-	for _, p := range a.pools {
-		p.next = 0
+	if a.off > len(a.slab) {
+		a.slab = make([]float64, a.off)
 	}
-	a.live = 0
+	a.off, a.live = 0, 0
 }
 
 // Live reports how many matrices are currently handed out (diagnostic).

@@ -177,33 +177,6 @@ func FuzzArena(f *testing.F) {
 	})
 }
 
-// TestArenaReuseAfterGrow pins that a Reset/Get cycle after the pool has
-// grown reuses the grown storage (same backing arrays, zeroed) instead of
-// allocating fresh matrices.
-func TestArenaReuseAfterGrow(t *testing.T) {
-	a := NewArena()
-	first := a.Get(8, 8)
-	second := a.Get(8, 8)
-	if sharesBacking(first.Data, second.Data) {
-		t.Fatal("distinct Gets alias")
-	}
-	for i := range first.Data {
-		first.Data[i] = 1
-		second.Data[i] = 2
-	}
-	a.Reset()
-	r1 := a.Get(8, 8)
-	r2 := a.Get(8, 8)
-	if !sharesBacking(r1.Data, first.Data) || !sharesBacking(r2.Data, second.Data) {
-		t.Fatal("Reset/Get did not reuse grown storage in handout order")
-	}
-	for i := range r1.Data {
-		if r1.Data[i] != 0 || r2.Data[i] != 0 {
-			t.Fatal("reused storage not zeroed")
-		}
-	}
-}
-
 func TestGrowBuffers(t *testing.T) {
 	f := GrowFloats(nil, 5)
 	if len(f) != 5 {

@@ -52,12 +52,16 @@ func failShape(format string, args ...any) {
 }
 
 // assertSameLen enforces equal vector lengths under the same contract as
-// failShape.
+// failShape. The formatting lives in failLen so that the check itself is
+// cheap enough to inline into the vector kernels.
 func assertSameLen(op string, x, y []float64) {
 	if len(x) != len(y) {
-		failShape("%s length mismatch: %d vs %d", op, len(x), len(y))
+		failLen(op, len(x), len(y))
 	}
 }
+
+//go:noinline
+func failLen(op string, nx, ny int) { failShape("%s length mismatch: %d vs %d", op, nx, ny) }
 
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
@@ -176,10 +180,7 @@ func mulRange(a, b, out *Matrix, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			Axpy(av, b.Row(k), orow)
 		}
 	}
 }
@@ -269,10 +270,7 @@ func tmulRange(a, b, dst *Matrix, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+			Axpy(av, brow, dst.Row(i))
 		}
 	}
 }
@@ -357,14 +355,30 @@ func checkSameShape(op string, a, b *Matrix) {
 	}
 }
 
-// Dot returns the inner product of equal-length vectors x and y.
+// Dot returns the inner product of equal-length vectors x and y. Dot and
+// Axpy are the inner loops of the matmul kernels. Both take four elements
+// per iteration, for steadiness before speed: a one-element body is small
+// enough that it runs a third (Axpy) to a half (Dot) slower whenever the
+// linker happens to lay it across a 64-byte fetch line, and functions are
+// only 32-byte aligned, so any code change ahead of it can flip that
+// (DESIGN.md, "Two inner loops"). Dot keeps its single accumulator and
+// index order and Axpy's elements are independent, so the unrolling does
+// not change a bit of either result.
 //
 //perf:hot
 func Dot(x, y []float64) float64 {
 	assertSameLen("Dot", x, y)
 	s := 0.0
-	for i, v := range x {
-		s += v * y[i]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		xs, ys := x[j:j+4:j+4], y[j:j+4:j+4]
+		s += xs[0] * ys[0]
+		s += xs[1] * ys[1]
+		s += xs[2] * ys[2]
+		s += xs[3] * ys[3]
+	}
+	for ; j < len(x); j++ {
+		s += x[j] * y[j]
 	}
 	return s
 }
@@ -374,8 +388,16 @@ func Dot(x, y []float64) float64 {
 //perf:hot
 func Axpy(a float64, x, y []float64) {
 	assertSameLen("Axpy", x, y)
-	for i, v := range x {
-		y[i] += a * v
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		xs, ys := x[j:j+4:j+4], y[j:j+4:j+4]
+		ys[0] += a * xs[0]
+		ys[1] += a * xs[1]
+		ys[2] += a * xs[2]
+		ys[3] += a * xs[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
 	}
 }
 

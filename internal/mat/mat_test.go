@@ -188,6 +188,34 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
+// Dot and Axpy are unrolled by four; every length around the unroll width
+// must give exactly what the one-element loops give, head, body and tail
+// alike — for Dot that includes the order of the additions.
+func TestUnrolledVectorKernelsMatchElementwiseLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 13; n++ {
+		x, y := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		a := rng.NormFloat64()
+		dot, axpy := 0.0, append([]float64(nil), y...)
+		for i, v := range x {
+			dot += v * y[i]
+			axpy[i] += a * v
+		}
+		if got := Dot(x, y); math.Float64bits(got) != math.Float64bits(dot) {
+			t.Fatalf("n=%d: Dot = %v, elementwise loop gives %v", n, got, dot)
+		}
+		Axpy(a, x, y)
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(axpy[i]) {
+				t.Fatalf("n=%d: Axpy y[%d] = %v, elementwise loop gives %v", n, i, y[i], axpy[i])
+			}
+		}
+	}
+}
+
 func TestParallelCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 17, 1000} {
 		seen := make([]int32, n)

@@ -69,9 +69,6 @@ type Config struct {
 	// CooldownSec suppresses repeat alerts per node within the window
 	// (default 300 s).
 	CooldownSec int64
-	// CriticalFactor promotes an alert to Critical when the score exceeds
-	// the threshold by this factor (default 2).
-	CriticalFactor float64
 	// Metrics, when non-nil, receives the monitor's operational series
 	// (ingest/alert counters, match/score latency histograms, per-node
 	// threshold and backlog gauges — see DESIGN.md's observability
@@ -95,6 +92,10 @@ type Config struct {
 	BatchMaxDelay time.Duration
 }
 
+// criticalFactor promotes an alert to Critical when its score sits this many
+// times above the trailing window mean.
+const criticalFactor = 2
+
 func (c Config) withDefaults() Config {
 	if c.ScoringWorkers <= 0 {
 		c.ScoringWorkers = 2
@@ -104,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CooldownSec <= 0 {
 		c.CooldownSec = 300
-	}
-	if c.CriticalFactor <= 0 {
-		c.CriticalFactor = 2
 	}
 	if c.BatchMaxDelay <= 0 {
 		c.BatchMaxDelay = 250 * time.Millisecond
@@ -571,8 +569,7 @@ func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.Nod
 	}
 	st.scores = st.scores[:base+len(scores)]
 	copy(st.scores[base:], scores)
-	preds := core.KSigmaThreshold(st.scores, m.cfg.Step, winSec, k)
-	st.lastThr = core.KSigmaBound(st.scores, m.cfg.Step, winSec, k)
+	st.lastThr = core.KSigmaBoundAt(st.scores, len(st.scores), m.cfg.Step, winSec, k)
 	if m.obsOn {
 		m.met.thrUpdates.Inc()
 		st.thrGauge.Set(st.lastThr)
@@ -583,8 +580,11 @@ func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.Nod
 	// Anomaly-free windows — the common case — copy nothing.
 	var diagFrame *mts.NodeFrame
 	for i := range scores {
+		// Only the new samples are thresholded (an earlier sample's verdict
+		// was read when its own window arrived), each against the whole
+		// history the rule needs.
 		gi := base + i
-		if !preds[gi] {
+		if !(scores[i] > core.KSigmaBoundAt(st.scores, gi, m.cfg.Step, winSec, k)) {
 			continue
 		}
 		ts := frame.TimeAt(i)
@@ -593,7 +593,7 @@ func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.Nod
 		}
 		st.lastAlert = ts
 		prio := Warning
-		if exceedFactor(st.scores, gi, int(winSec/m.cfg.Step)) >= m.cfg.CriticalFactor {
+		if exceedFactor(st.scores, gi, int(winSec/m.cfg.Step)) >= criticalFactor {
 			prio = Critical
 		}
 		if diagFrame == nil {
