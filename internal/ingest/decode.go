@@ -8,7 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,16 +32,16 @@ type DecoderConfig struct {
 // batches — into Sink calls. It remembers each node's ordered metric
 // layout: layouts arrive explicitly (Register, or a JSONL metrics
 // line), and a sample for an unknown node auto-registers its sorted
-// metric names. Exposition samples are re-ordered into the layout, with
-// NaN for metrics a scrape dropped, exactly like
-// telemetry.VectorFromScrape. Safe for concurrent use; per-node event
-// order follows call order (Intake and Scraper push bodies in order).
+// metric names. Exposition samples are written by name into the layout's
+// columns, with NaN for metrics a scrape dropped; JSONL samples are
+// positional. Safe for concurrent use; per-node event order follows call
+// order (Intake and Scraper push bodies in order).
 type Decoder struct {
 	sink Sink
 	cfg  DecoderConfig
 
 	mu      sync.Mutex
-	layouts map[string][]string
+	layouts map[string]layout
 
 	samples       *obs.Counter
 	jobs          *obs.Counter
@@ -53,6 +53,24 @@ type Decoder struct {
 	shape         *obs.Counter
 }
 
+// layout is a node's ordered metric names plus the name → column index
+// built once, when the layout is declared. A name declared twice fills
+// its first column only.
+type layout struct {
+	names []string
+	col   map[string]int
+}
+
+func newLayout(names []string) layout {
+	col := make(map[string]int, len(names))
+	for i, name := range names {
+		if _, dup := col[name]; !dup {
+			col[name] = i
+		}
+	}
+	return layout{names: names, col: col}
+}
+
 // NewDecoder wraps a sink.
 func NewDecoder(sink Sink, cfg DecoderConfig) *Decoder {
 	if cfg.Now == nil {
@@ -62,7 +80,7 @@ func NewDecoder(sink Sink, cfg DecoderConfig) *Decoder {
 	return &Decoder{
 		sink:          sink,
 		cfg:           cfg,
-		layouts:       map[string][]string{},
+		layouts:       map[string]layout{},
 		samples:       r.Counter("nodesentry_intake_samples_total"),
 		jobs:          r.Counter("nodesentry_intake_jobs_total"),
 		parseErrs:     r.Counter("nodesentry_intake_parse_errors_total"),
@@ -79,145 +97,151 @@ func NewDecoder(sink Sink, cfg DecoderConfig) *Decoder {
 // exposition pushes score against the exact layout the detector was
 // trained on rather than an auto-registered sorted one.
 func (d *Decoder) Register(node string, metrics []string) {
-	layout := append([]string(nil), metrics...)
+	l := newLayout(append([]string(nil), metrics...))
 	d.mu.Lock()
-	d.layouts[node] = layout
+	d.layouts[node] = l
 	d.mu.Unlock()
-	d.sink.RegisterNode(node, layout)
+	d.sink.RegisterNode(node, l.names)
 }
 
 // PushExposition decodes one Prometheus text body. Series need a node
 // label (others are counted and skipped — a self-scrape of the obs
 // registry decodes to nothing, harmlessly); consecutive series sharing
 // (node, timestamp) form one sample vector, and JobTransitionSeries
-// lines become ObserveJob calls in body order. Returns the number of
-// samples ingested.
+// lines become ObserveJob calls in body order. The body is parsed whole
+// first: one that returns an error has touched the sink not at all.
+// Returns the number of samples ingested.
 func (d *Decoder) PushExposition(text string) (int, error) {
 	series, err := telemetry.ParseSeries(text)
 	if err != nil {
 		d.parseErrs.Inc()
 		return 0, err
 	}
-	type groupKey struct {
-		node string
-		tsMs int64
-	}
 	var (
-		n      int
-		curKey groupKey
-		cur    map[string]float64
+		n     int
+		vec   []float64    // this call's scratch: see Sink.Ingest on ownership
+		node  string       // the open sample's node
+		group = series[:0] // the open sample's series, compacted in place
 	)
 	flush := func() {
-		if len(cur) == 0 {
+		if len(group) == 0 {
 			return
 		}
-		ts := curKey.tsMs / 1000
-		if curKey.tsMs == 0 {
-			ts = d.cfg.Now()
-			d.clockFallback.Inc()
-		}
-		d.sample(curKey.node, ts, cur)
+		vec = d.fitByName(vec, node, group)
+		d.sink.Ingest(node, d.seconds(group[0].TimeMs), vec)
+		d.samples.Inc()
 		n++
-		cur = nil
+		group = group[:0]
 	}
 	for _, s := range series {
-		node := telemetry.LabelValue(s.Labels, "node")
-		if node == "" {
+		sn := telemetry.LabelValue(s.Labels, "node")
+		switch {
+		case sn == "":
 			d.skipped.Inc()
-			continue
-		}
-		if s.Name == JobTransitionSeries {
+		case s.Name == JobTransitionSeries:
 			flush()
-			start := s.TimeMs / 1000
-			if s.TimeMs == 0 {
-				start = d.cfg.Now()
-				d.clockFallback.Inc()
-			}
-			d.sink.ObserveJob(node, int64(s.Value), start)
+			d.sink.ObserveJob(sn, int64(s.Value), d.seconds(s.TimeMs))
 			d.jobs.Inc()
-			continue
+		default:
+			if len(group) > 0 && (sn != node || s.TimeMs != group[0].TimeMs) {
+				flush()
+			}
+			node = sn
+			group = append(group, s)
 		}
-		k := groupKey{node: node, tsMs: s.TimeMs}
-		if cur != nil && k != curKey {
-			flush()
-		}
-		if cur == nil {
-			cur = map[string]float64{}
-			curKey = k
-		}
-		cur[s.Name] = s.Value
 	}
 	flush()
 	return n, nil
 }
 
-// sample maps a name→value set into the node's layout and ingests it.
-func (d *Decoder) sample(node string, ts int64, vals map[string]float64) {
-	layout := d.layoutOf(node, vals)
-	vec := make([]float64, len(layout))
-	matched := 0
-	for i, name := range layout {
-		if v, ok := vals[name]; ok {
-			vec[i] = v
-			matched++
-		} else {
-			vec[i] = math.NaN()
-		}
+// seconds converts an exposition timestamp to Unix seconds; a line that
+// carried none takes the clock, counted.
+func (d *Decoder) seconds(ms int64) int64 {
+	if ms == 0 {
+		d.clockFallback.Inc()
+		return d.cfg.Now()
 	}
-	if extra := len(vals) - matched; extra > 0 {
-		d.unknown.Add(int64(extra))
-	}
-	d.sink.Ingest(node, ts, vec)
-	d.samples.Inc()
+	return ms / 1000
 }
 
-// conform fits a JSONL sample vector to the node's declared layout:
+// nanVec resizes the scratch vector to n columns, all NaN (a dropped
+// collector), allocating only when it has to grow.
+func nanVec(vec []float64, n int) []float64 {
+	if cap(vec) < n {
+		vec = make([]float64, n)
+	}
+	vec = vec[:n]
+	for i := range vec {
+		vec[i] = math.NaN()
+	}
+	return vec
+}
+
+// fitByName writes one exposition sample into the node's layout by
+// column: a repeated series keeps its last value, and a series whose name
+// the layout lacks is counted, not ingested.
+func (d *Decoder) fitByName(vec []float64, node string, group []telemetry.Series) []float64 {
+	l := d.layoutOf(node, group)
+	vec = nanVec(vec, len(l.names))
+	for _, s := range group {
+		if c, ok := l.col[s.Name]; ok {
+			vec[c] = s.Value
+		} else {
+			d.unknown.Inc()
+		}
+	}
+	return vec
+}
+
+// fitByPosition writes one JSONL sample into the node's declared width:
 // missing trailing columns become NaN (a dropped collector) and extra
 // ones are cut, both counted. Without this a hostile or buggy agent
 // pushing a short vector for a registered node would reach frame
-// assembly with the wrong width. Unregistered nodes pass through
-// unchanged — the monitor discards their samples as unregistered.
-func (d *Decoder) conform(node string, vec []float64) []float64 {
+// assembly with the wrong width. Unregistered nodes pass through at
+// their own width — the monitor discards their samples as unregistered.
+func (d *Decoder) fitByPosition(vec []float64, node string, values []JSONFloat) []float64 {
 	d.mu.Lock()
-	layout, known := d.layouts[node]
+	l, known := d.layouts[node]
 	d.mu.Unlock()
-	if !known || len(vec) == len(layout) {
-		return vec
+	width := len(values)
+	if known && width != len(l.names) {
+		d.shape.Inc()
+		if d.cfg.Logger != nil {
+			d.cfg.Logger.Warn("sample shape mismatch", "node", node,
+				"got", width, "want", len(l.names))
+		}
+		width = len(l.names)
 	}
-	d.shape.Inc()
-	if d.cfg.Logger != nil {
-		d.cfg.Logger.Warn("sample shape mismatch", "node", node,
-			"got", len(vec), "want", len(layout))
+	vec = nanVec(vec, width)
+	for i, v := range values[:min(len(values), width)] {
+		vec[i] = float64(v)
 	}
-	out := make([]float64, len(layout))
-	n := copy(out, vec)
-	for i := n; i < len(out); i++ {
-		out[i] = math.NaN()
-	}
-	return out
+	return vec
 }
 
-// layoutOf returns the node's layout, auto-registering the sorted
-// metric names of this first sample for nodes never declared.
-func (d *Decoder) layoutOf(node string, vals map[string]float64) []string {
+// layoutOf returns the node's layout, auto-registering the sorted,
+// de-duplicated metric names of this first sample for nodes never
+// declared.
+func (d *Decoder) layoutOf(node string, group []telemetry.Series) layout {
 	d.mu.Lock()
 	if l, ok := d.layouts[node]; ok {
 		d.mu.Unlock()
 		return l
 	}
-	names := make([]string, 0, len(vals))
-	for name := range vals {
-		names = append(names, name)
+	names := make([]string, len(group))
+	for i, s := range group {
+		names[i] = s.Name
 	}
-	sort.Strings(names)
-	d.layouts[node] = names
+	slices.Sort(names)
+	l := newLayout(slices.Compact(names))
+	d.layouts[node] = l
 	d.mu.Unlock()
 	d.autoReg.Inc()
 	if d.cfg.Logger != nil {
-		d.cfg.Logger.Debug("auto-registered node", "node", node, "metrics", len(names))
+		d.cfg.Logger.Debug("auto-registered node", "node", node, "metrics", len(l.names))
 	}
-	d.sink.RegisterNode(node, names)
-	return names
+	d.sink.RegisterNode(node, l.names)
+	return l
 }
 
 // PushJSONL decodes a stream of Line records (see Line for the wire
@@ -227,6 +251,7 @@ func (d *Decoder) layoutOf(node string, vals map[string]float64) []string {
 func (d *Decoder) PushJSONL(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	var vec []float64 // this call's scratch: see Sink.Ingest on ownership
 	n, ln := 0, 0
 	for sc.Scan() {
 		ln++
@@ -254,7 +279,8 @@ func (d *Decoder) PushJSONL(r io.Reader) (int, error) {
 				ts = d.cfg.Now()
 				d.clockFallback.Inc()
 			}
-			d.sink.Ingest(l.Node, ts, d.conform(l.Node, floats(l.Values)))
+			vec = d.fitByPosition(vec, l.Node, l.Values)
+			d.sink.Ingest(l.Node, ts, vec)
 			d.samples.Inc()
 			n++
 		default:

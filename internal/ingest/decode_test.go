@@ -1,10 +1,14 @@
 package ingest
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"nodesentry/internal/mts"
 	"nodesentry/internal/obs"
+	"nodesentry/internal/telemetry"
 )
 
 func testDecoder(sink Sink, reg *obs.Registry) *Decoder {
@@ -205,5 +209,176 @@ func TestDecoderJSONLShapeConform(t *testing.T) {
 	}
 	if got := reg.Counter("nodesentry_intake_shape_mismatch_total").Value(); got != 2 {
 		t.Errorf("shape mismatch counter = %d, want 2", got)
+	}
+}
+
+// TestDecoderExpositionRules pins, one body per rule, how PushExposition
+// cuts a body into samples and fits them to a layout.
+func TestDecoderExpositionRules(t *testing.T) {
+	intake := func(name string) string { return "nodesentry_intake_" + name + "_total" }
+	for _, tc := range []struct {
+		name     string
+		register map[string][]string
+		body     []string
+		want     []string // sink events after the registrations above
+		counters map[string]int64
+	}{
+		{
+			name:     "an unlabelled series inside a sample is skipped without splitting it",
+			register: map[string][]string{"n": {"cpu", "mem"}},
+			body:     []string{`cpu{node="n"} 1 1000`, `up 1`, `mem{node="n"} 2 1000`},
+			want:     []string{"ing n 1 [1 2]"},
+			counters: map[string]int64{intake("skipped_series"): 1, intake("samples"): 1},
+		},
+		{
+			name:     "a job line ends the sample",
+			register: map[string][]string{"n": {"cpu", "mem"}},
+			body:     []string{`cpu{node="n"} 1 1000`, `nodesentry_job_transition{node="n"} 7 1000`, `mem{node="n"} 2 1000`},
+			want:     []string{"ing n 1 [1 NaN]", "job n 7 1", "ing n 1 [NaN 2]"},
+			counters: map[string]int64{intake("samples"): 2, intake("jobs"): 1},
+		},
+		{
+			name:     "a new node or a new timestamp starts a sample",
+			register: map[string][]string{"a": {"cpu"}, "b": {"cpu"}},
+			body:     []string{`cpu{node="a"} 1 1000`, `cpu{node="b"} 2 1000`, `cpu{node="a"} 3 1000`, `cpu{node="a"} 4 2000`},
+			want:     []string{"ing a 1 [1]", "ing b 1 [2]", "ing a 1 [3]", "ing a 2 [4]"},
+		},
+		{
+			name:     "a repeated series keeps its last value",
+			register: map[string][]string{"n": {"cpu", "mem"}},
+			body:     []string{`cpu{node="n"} 1 1000`, `cpu{node="n"} 5 1000`},
+			want:     []string{"ing n 1 [5 NaN]"},
+		},
+		{
+			name:     "a timestamp-free sample takes the clock once however many series it has, and so does a job line",
+			register: map[string][]string{"n": {"cpu", "mem"}},
+			body:     []string{`cpu{node="n"} 1`, `mem{node="n"} 2`, `nodesentry_job_transition{node="n"} 7`},
+			want:     []string{"ing n 9999 [1 2]", "job n 7 9999"},
+			counters: map[string]int64{intake("clock_fallback"): 2},
+		},
+		{
+			name:     "unknown names are counted per series line",
+			register: map[string][]string{"n": {"cpu"}},
+			body:     []string{`rogue{node="n"} 1 1000`, `cpu{node="n"} 2 1000`, `rogue{node="n"} 3 1000`, `other{node="n"} 4 1000`},
+			want:     []string{"ing n 1 [2]"},
+			counters: map[string]int64{intake("unknown_metrics"): 3},
+		},
+		{
+			name:     "a first sample that repeats a name auto-registers it once",
+			body:     []string{`b{node="u"} 1 1000`, `a{node="u"} 2 1000`, `b{node="u"} 3 1000`},
+			want:     []string{"reg u [a b]", "ing u 1 [2 3]"},
+			counters: map[string]int64{intake("autoregistered"): 1, intake("unknown_metrics"): 0},
+		},
+		{
+			name:     "a layout that declares a name twice fills its first column",
+			register: map[string][]string{"n": {"x", "y", "x"}},
+			body:     []string{`x{node="n"} 1 1000`, `y{node="n"} 2 1000`},
+			want:     []string{"ing n 1 [1 2 NaN]"},
+			counters: map[string]int64{intake("unknown_metrics"): 0},
+		},
+		{
+			name:     "node is read at a label boundary, not out of a longer key",
+			register: map[string][]string{"cn-1": {"cpu"}, "rack-7": {"cpu"}},
+			body:     []string{`cpu{supernode="rack-7",node="cn-1"} 1 1000`, `cpu{exported_node="rack-7"} 2 1000`},
+			want:     []string{"ing cn-1 1 [1]"},
+			counters: map[string]int64{intake("skipped_series"): 1},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &recordSink{}
+			reg := obs.NewRegistry()
+			dec := testDecoder(sink, reg)
+			for node, metrics := range tc.register {
+				dec.Register(node, metrics)
+			}
+			if _, err := dec.PushExposition(strings.Join(tc.body, "\n")); err != nil {
+				t.Fatal(err)
+			}
+			got := sink.all()[len(tc.register):]
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("events %q, want %q", got, tc.want)
+			}
+			for name, want := range tc.counters {
+				if v := reg.Counter(name).Value(); v != want {
+					t.Errorf("%s = %d, want %d", name, v, want)
+				}
+			}
+		})
+	}
+}
+
+// wideBody renders one exposition body of the wide_exposition shape:
+// nodes × metrics series in FormatScrape's own spelling, one timestamp.
+func wideBody(nodes, metrics int) (names, layout []string, body string) {
+	for m := 0; m < metrics; m++ {
+		layout = append(layout, fmt.Sprintf("node_metric_%03d_total", m))
+	}
+	var b strings.Builder
+	for n := 0; n < nodes; n++ {
+		f := &mts.NodeFrame{Node: fmt.Sprintf("cn-%04d", n), Metrics: layout, Start: 1_700_000_000, Step: 60}
+		for m := range layout {
+			f.Data = append(f.Data, []float64{float64(n) + float64(m)/1000})
+		}
+		names = append(names, f.Node)
+		b.WriteString(telemetry.FormatScrape(f, 0))
+	}
+	return names, layout, b.String()
+}
+
+// nopSink swallows decoded telemetry, so allocation pins count the
+// decoder alone.
+type nopSink struct{}
+
+func (nopSink) RegisterNode(string, []string)   {}
+func (nopSink) ObserveJob(string, int64, int64) {}
+func (nopSink) Ingest(string, int64, []float64) {}
+
+// TestPushExpositionAllocations pins what decoding costs between the body
+// and the sink: the parsed series slice and one scratch vector per body,
+// nothing per line and nothing per sample (the parent: ≈ 145 a sample).
+func TestPushExpositionAllocations(t *testing.T) {
+	const nodes, metrics = 16, 130
+	names, layout, body := wideBody(nodes, metrics)
+	dec := testDecoder(nopSink{}, nil)
+	for _, n := range names {
+		dec.Register(n, layout)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if n, err := dec.PushExposition(body); err != nil || n != nodes {
+			t.Fatalf("n=%d err=%v", n, err)
+		}
+	})
+	if perSample := allocs / nodes; perSample > 2 {
+		t.Errorf("PushExposition: %.1f allocations per sample (%v per body), want <= 2", perSample, allocs)
+	}
+}
+
+// TestDecoderScratchIsCopiedByRouter pins the ownership rule on
+// Sink.Ingest from the keeping side: the decoder refills one scratch
+// vector for every sample of a body, so the router — whose queue outlives
+// the call — must hold its own copy of each. With the first sample parked
+// behind a gated sink, the second sample of the same body (and a second
+// body) overwrite the scratch before either is delivered.
+func TestDecoderScratchIsCopiedByRouter(t *testing.T) {
+	sink := &gateSink{gate: make(chan struct{})}
+	r := NewShardRouter(sink, RouterConfig{Shards: 1, QueueSize: 8})
+	dec := testDecoder(r, nil)
+	dec.Register("n", []string{"a", "b"})
+	for _, body := range []string{
+		"a{node=\"n\"} 1 60000\nb{node=\"n\"} 2 60000\na{node=\"n\"} 3 120000\nb{node=\"n\"} 4 120000\n",
+		"a{node=\"n\"} 5 180000\n",
+	} {
+		if _, err := dec.PushExposition(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dec.PushJSONL(strings.NewReader(`{"node":"n","time":240,"values":[6,7]}` + "\n" + `{"node":"n","time":300,"values":[8,9]}`)); err != nil {
+		t.Fatal(err)
+	}
+	close(sink.gate)
+	r.Drain()
+	want := []string{"reg n [a b]", "ing n 60 [1 2]", "ing n 120 [3 4]", "ing n 180 [5 NaN]", "ing n 240 [6 7]", "ing n 300 [8 9]"}
+	if got := sink.all(); !slices.Equal(got, want) {
+		t.Errorf("delivered %q, want %q: a queued vector aliased the decoder's scratch", got, want)
 	}
 }

@@ -14,9 +14,11 @@ import (
 type fuzzSink struct {
 	t       *testing.T
 	layouts map[string]int
+	calls   int
 }
 
 func (s *fuzzSink) RegisterNode(node string, metrics []string) {
+	s.calls++
 	if node == "" {
 		s.t.Error("RegisterNode with empty node")
 	}
@@ -24,12 +26,14 @@ func (s *fuzzSink) RegisterNode(node string, metrics []string) {
 }
 
 func (s *fuzzSink) ObserveJob(node string, job int64, start int64) {
+	s.calls++
 	if node == "" {
 		s.t.Error("ObserveJob with empty node")
 	}
 }
 
 func (s *fuzzSink) Ingest(node string, ts int64, values []float64) {
+	s.calls++
 	if node == "" {
 		s.t.Error("Ingest with empty node")
 	}
@@ -83,6 +87,56 @@ func FuzzPushJSONL(f *testing.F) {
 		}
 		if err != nil && n > len(strings.Split(body, "\n")) {
 			t.Errorf("counted %d samples from %d lines", n, len(strings.Split(body, "\n")))
+		}
+	})
+}
+
+// FuzzPushExposition pins the exposition decode path against hostile
+// bodies, some nodes declared ahead and the rest auto-registering: it
+// must never panic, never emit a phantom (empty-name) node, never hand a
+// registered node a mis-shaped vector — and a body it rejects must leave
+// the sink untouched, the atomicity the chaos soak's exact ledger (a
+// garbled scrape contributes one parse error and zero samples) rests on.
+func FuzzPushExposition(f *testing.F) {
+	seeds := []string{
+		"",
+		"# TYPE cpu gauge\ncpu{node=\"a\"} 0.5 60000\n",
+		"up 1\n",
+		"a NaN\nb +Inf\nc -Inf\n",
+		"m{node=\"\xff\xfe\"} 1 1000\n",
+		"{} 1\n",
+		"nodesentry_job_transition{node=\"n\"} 7 120000\n",
+		// Several nodes and timestamps in one body, a job line between
+		// two samples, unlabelled series inside one.
+		"cpu{node=\"a\"} 1 60000\nmem{node=\"a\"} 2 60000\ncpu{node=\"b\"} 3 60000\ncpu{node=\"a\"} 4 120000\n",
+		"cpu{node=\"a\"} 1 60000\nnodesentry_job_transition{node=\"a\"} -1 60000\nmem{node=\"a\"} 2 60000\n",
+		"cpu{node=\"a\"} 1\nup 1\nmem{node=\"a\"} 2\nrogue{node=\"a\"} 3\ncpu{node=\"a\"} 4\n",
+		"z{node=\"u\"} 1 1000\na{node=\"u\"} 2 1000\nz{node=\"u\"} 3 1000\nq{node=\"u\"} 4 2000\n",
+		"cpu{supernode=\"a\",node=\"b\"} 1 1000\ncpu{exported_node=\"a\"} 2 1000\ncpu{node=\"\"} 3 1000\n",
+		// Good samples ahead of a line the parser rejects: nothing of
+		// the body may reach the sink.
+		"cpu{node=\"a\"} 1 60000\nmem{node=\"a\"} 2 60000\ncpu{node=\"b\"",
+		"cpu{node=\"a\"} 1 60000\nnodesentry_job_transition{node=\"a\"} 7 60000\ncpu{node=\"a\"} 1 1.5",
+		"cpu{node=\"u\"} 1 60000\nd 1e400\n",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		sink := &fuzzSink{t: t, layouts: map[string]int{}}
+		dec := NewDecoder(sink, DecoderConfig{
+			Metrics: obs.NewRegistry(),
+			Now:     func() int64 { return 1_700_000_000 },
+		})
+		dec.Register("a", []string{"cpu", "mem"})
+		dec.Register("b", []string{"cpu"})
+		declared := sink.calls
+		n, err := dec.PushExposition(body)
+		if err != nil && (n != 0 || sink.calls != declared) {
+			t.Errorf("rejected body (%v) counted %d samples and made %d sink calls", err, n, sink.calls-declared)
+		}
+		if n < 0 || n > sink.calls-declared {
+			t.Errorf("counted %d samples over %d sink calls", n, sink.calls-declared)
 		}
 	})
 }

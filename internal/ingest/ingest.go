@@ -9,8 +9,9 @@
 //   - Intake: an HTTP handler accepting pushed batches (POST /push,
 //     Prometheus text exposition or JSONL, gzip-aware, size-limited),
 //     plus Scraper, a poller that pulls /metrics from a target list on
-//     an interval. Both feed a shared Decoder that remembers each
-//     node's metric layout and turns wire samples into Sink calls.
+//     an interval. Both read their body once, bounded, as a string
+//     (readLimited) and feed a shared Decoder that remembers each node's
+//     metric layout and turns wire samples into Sink calls.
 //   - ShardRouter: consistently hashes node names onto N bounded worker
 //     queues, each drained by one goroutine, with an explicit
 //     backpressure policy (Block or DropOldest, counted) so one slow
@@ -19,6 +20,13 @@
 //     age, sends with context timeouts and jittered exponential
 //     Backoff, keeps a bounded retry queue, and drains gracefully on
 //     shutdown.
+//
+// One ownership rule covers every sample vector on the way: the values
+// handed to Sink.Ingest are valid only for the duration of the call, and a
+// sink that keeps them copies them. The Decoder therefore fills one
+// scratch vector per body, and the ShardRouter's copy onto its queue is
+// the single allocation a sample costs between the socket and the
+// monitor's ring.
 //
 // Everything is instrumented through internal/obs (nil-safe: a nil
 // registry disables instrumentation). runtime.Monitor satisfies Sink,
@@ -46,7 +54,8 @@ type Sink interface {
 	// (Unix seconds).
 	ObserveJob(node string, job int64, start int64)
 	// Ingest feeds one sample: the node's full metric vector at ts
-	// (Unix seconds), ordered per the registered layout.
+	// (Unix seconds), ordered per the registered layout. values is valid
+	// only for the duration of the call; a sink that keeps it copies it.
 	Ingest(node string, ts int64, values []float64)
 }
 
@@ -201,15 +210,6 @@ func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
-}
-
-// floats converts a wire vector back to plain float64s.
-func floats(in []JSONFloat) []float64 {
-	out := make([]float64, len(in))
-	for i, v := range in {
-		out[i] = float64(v)
-	}
-	return out
 }
 
 // jsonFloats wraps a plain vector for marshaling.

@@ -73,7 +73,7 @@ func (in *Intake) handlePush(w http.ResponseWriter, r *http.Request) {
 		in.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("ingest: %s not allowed", r.Method))
 		return
 	}
-	data, err := in.readBody(w, r)
+	body, err := in.readBody(w, r)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -83,12 +83,12 @@ func (in *Intake) handlePush(w http.ResponseWriter, r *http.Request) {
 		in.fail(w, status, err)
 		return
 	}
-	in.bytes.Add(int64(len(data)))
+	in.bytes.Add(int64(len(body)))
 	var n int
-	if isJSONL(r.Header.Get("Content-Type"), data) {
-		n, err = in.dec.PushJSONL(strings.NewReader(string(data)))
+	if isJSONL(r.Header.Get("Content-Type"), body) {
+		n, err = in.dec.PushJSONL(strings.NewReader(body))
 	} else {
-		n, err = in.dec.PushExposition(string(data))
+		n, err = in.dec.PushExposition(body)
 	}
 	if err != nil {
 		in.fail(w, http.StatusBadRequest, err)
@@ -101,50 +101,48 @@ func (in *Intake) handlePush(w http.ResponseWriter, r *http.Request) {
 	_, _ = fmt.Fprintf(w, "accepted %d samples\n", n)
 }
 
-// errBodyTooLarge marks a gzip body that inflated past the limit.
-var errBodyTooLarge = errors.New("ingest: decompressed body exceeds limit")
+// errBodyTooLarge marks a body — pushed (after gzip inflation) or
+// scraped — that ran past its limit.
+var errBodyTooLarge = errors.New("ingest: body exceeds limit")
+
+// readLimited reads src to its end as a string — the form both decoders
+// take, so the body is never copied again — and fails, never truncates,
+// once src yields more than limit bytes. Intake and Scraper both bound
+// their bodies here.
+func readLimited(src io.Reader, limit int64) (string, error) {
+	var b strings.Builder
+	n, err := io.Copy(&b, io.LimitReader(src, limit+1))
+	if err != nil {
+		return "", err
+	}
+	if n > limit {
+		return "", errBodyTooLarge
+	}
+	return b.String(), nil
+}
 
 // readBody reads the (possibly gzipped) request body under
 // MaxBodyBytes, applied to both the compressed and decompressed sizes
 // so a gzip bomb cannot expand past the limit.
-func (in *Intake) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+func (in *Intake) readBody(w http.ResponseWriter, r *http.Request) (string, error) {
 	var src io.Reader = http.MaxBytesReader(w, r.Body, in.cfg.MaxBodyBytes)
 	if strings.Contains(r.Header.Get("Content-Encoding"), "gzip") {
 		gz, err := gzip.NewReader(src)
 		if err != nil {
-			return nil, fmt.Errorf("ingest: bad gzip body: %w", err)
+			return "", fmt.Errorf("ingest: bad gzip body: %w", err)
 		}
 		defer func() { _ = gz.Close() }() // body fully consumed below; close error is inert
-		src = io.LimitReader(gz, in.cfg.MaxBodyBytes+1)
+		src = gz
 	}
-	data, err := io.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > in.cfg.MaxBodyBytes {
-		return nil, errBodyTooLarge
-	}
-	return data, nil
+	return readLimited(src, in.cfg.MaxBodyBytes)
 }
 
 // isJSONL sniffs the batch format: an explicit JSON content type wins,
 // else a body whose first byte is '{' is JSONL (exposition lines start
 // with a metric name or '#').
-func isJSONL(contentType string, data []byte) bool {
-	if strings.Contains(contentType, "json") {
-		return true
-	}
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
+func isJSONL(contentType, body string) bool {
+	return strings.Contains(contentType, "json") ||
+		strings.HasPrefix(strings.TrimLeft(body, " \t\r\n"), "{")
 }
 
 func (in *Intake) fail(w http.ResponseWriter, status int, err error) {

@@ -163,7 +163,7 @@ func TestIsJSONL(t *testing.T) {
 		{"", "# TYPE cpu gauge", false},
 		{"", "", false},
 	} {
-		if got := isJSONL(tc.ct, []byte(tc.body)); got != tc.want {
+		if got := isJSONL(tc.ct, tc.body); got != tc.want {
 			t.Errorf("isJSONL(%q, %q) = %v, want %v", tc.ct, tc.body, got, tc.want)
 		}
 	}

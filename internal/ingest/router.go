@@ -138,8 +138,8 @@ func (r *ShardRouter) ObserveJob(node string, job int64, start int64) {
 	r.enqueue(event{kind: evJob, node: node, job: job, ts: start})
 }
 
-// Ingest queues one sample (Sink). The vector is copied; callers may
-// reuse their buffer.
+// Ingest queues one sample (Sink). The queue outlives the call, so the
+// vector is copied — the Decoder reuses its buffer for the next sample.
 func (r *ShardRouter) Ingest(node string, ts int64, values []float64) {
 	ev := event{kind: evSample, node: node, ts: ts, values: append([]float64(nil), values...)}
 	if r.obsOn {

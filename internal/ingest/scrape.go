@@ -3,7 +3,6 @@ package ingest
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -19,7 +18,8 @@ type ScrapeConfig struct {
 	Interval time.Duration
 	// Timeout bounds one target fetch (default 5 s).
 	Timeout time.Duration
-	// MaxBodyBytes caps one scrape body (default 8 MiB).
+	// MaxBodyBytes caps one scrape body (default 8 MiB). A larger body
+	// fails the scrape; its prefix is never decoded.
 	MaxBodyBytes int64
 	// Client defaults to http.DefaultClient with Timeout applied per
 	// request via context.
@@ -124,9 +124,9 @@ func (s *Scraper) scrape(ctx context.Context, target string) (int, error) {
 	if resp.StatusCode >= 300 {
 		return 0, fmt.Errorf("ingest: scrape %s returned %s", target, resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes))
+	body, err := readLimited(resp.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return 0, err
 	}
-	return s.dec.PushExposition(string(body))
+	return s.dec.PushExposition(body)
 }

@@ -2,9 +2,9 @@ package ingest
 
 // Tee fans every sink call out to each of the given sinks, in order. Nil
 // entries are skipped, so callers can write Tee(mon, maybeNil) without
-// branching. The values slice is shared across sinks on the hot path —
-// sinks must copy anything they retain, which every Sink in this module
-// already guarantees.
+// branching. The values slice is shared across sinks on the hot path,
+// which Sink.Ingest's ownership rule allows: a sink that keeps it copies
+// it.
 func Tee(sinks ...Sink) Sink {
 	kept := make([]Sink, 0, len(sinks))
 	for _, s := range sinks {

@@ -3,14 +3,16 @@ package runtime
 import (
 	"testing"
 
+	"nodesentry/internal/ingest"
 	"nodesentry/internal/slurmsim"
 	"nodesentry/internal/telemetry"
 )
 
 // TestTextFormatsEndToEnd drives the monitor through the deployment's real
 // interchange formats (Fig. 7): job transitions arrive as sacct text and
-// samples arrive as Prometheus exposition bodies, exactly what a
-// production collector would hand us.
+// samples arrive as Prometheus exposition bodies through ingest.Decoder,
+// the text path the daemon itself runs — exactly what a production
+// collector would hand us.
 func TestTextFormatsEndToEnd(t *testing.T) {
 	ds, det := fixture(t)
 	m, err := NewMonitor(det, Config{Step: ds.Step, ScoringWorkers: 2})
@@ -36,11 +38,12 @@ func TestTextFormatsEndToEnd(t *testing.T) {
 		close(done)
 	}()
 
+	dec := ingest.NewDecoder(m, ingest.DecoderConfig{})
 	from := ds.SplitTime()
 	for _, node := range ds.Nodes()[:2] { // two nodes keep the test fast
 		f := ds.Frames[node]
 		view := f.Slice(f.IndexOf(from), f.Len())
-		m.RegisterNode(node, view.Metrics)
+		dec.Register(node, view.Metrics)
 		spans := slurmsim.SpansForNode(recs, node, ds.Horizon)
 		si := 0
 		for t2 := 0; t2 < view.Len(); t2++ {
@@ -49,17 +52,11 @@ func TestTextFormatsEndToEnd(t *testing.T) {
 				m.ObserveJob(node, spans[si].Job, spans[si].Start)
 				si++
 			}
-			// Sample → exposition text → parsed vector (with NaN holes
-			// for missing samples) → ingest.
-			text := telemetry.FormatScrape(view, t2)
-			scrape, err := telemetry.ParseScrape(text)
-			if err != nil {
-				t.Fatalf("scrape parse at %s t=%d: %v", node, t2, err)
+			// Sample → exposition text → decoded into the registered
+			// layout (NaN holes for missing samples) → ingest.
+			if _, err := dec.PushExposition(telemetry.FormatScrape(view, t2)); err != nil {
+				t.Fatalf("scrape decode at %s t=%d: %v", node, t2, err)
 			}
-			if got := telemetry.NodeOf(text); got != node && got != "" {
-				t.Fatalf("scrape node label %q", got)
-			}
-			m.Ingest(node, ts, telemetry.VectorFromScrape(scrape, view.Metrics))
 		}
 	}
 	m.Close()

@@ -3,9 +3,9 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"nodesentry/internal/mts"
 )
@@ -13,8 +13,9 @@ import (
 // This file implements the Prometheus text exposition format the paper's
 // deployment collects metrics through ("Prometheus collects granular
 // performance metrics from all nodes"). FormatScrape renders one node's
-// sample as a scrape body; ParseScrape reads one back — so the streaming
-// monitor can ingest either simulated frames or real node-exporter output.
+// sample as a scrape body; ParseSeries reads any exposition body back —
+// so the streaming monitor can ingest either simulated frames or real
+// node-exporter output (ingest.Decoder maps the series onto node layouts).
 
 // FormatScrape renders the frame's sample at index t as a Prometheus text
 // exposition body with millisecond timestamps and a `node` label. Missing
@@ -38,75 +39,38 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Scrape is one parsed exposition body.
-type Scrape struct {
-	Node string
-	// Time is the sample's Unix timestamp in seconds.
-	Time int64
-	// Values maps metric name to value.
-	Values map[string]float64
-}
-
-// ParseScrape parses a text exposition body produced by FormatScrape or a
-// compatible exporter. Comment lines are skipped; the node label and
-// timestamp must be consistent across samples.
-func ParseScrape(text string) (*Scrape, error) {
-	s := &Scrape{Values: map[string]float64{}}
-	for ln, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, rest, err := splitMetricLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: scrape line %d: %w", ln+1, err)
-		}
-		fields := strings.Fields(rest)
-		if len(fields) < 1 || len(fields) > 2 {
-			return nil, fmt.Errorf("telemetry: scrape line %d: want value [timestamp]", ln+1)
-		}
-		v, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: scrape line %d: bad value %q", ln+1, fields[0])
-		}
-		if len(fields) == 2 {
-			millis, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("telemetry: scrape line %d: bad timestamp %q", ln+1, fields[1])
-			}
-			ts := millis / 1000
-			if s.Time != 0 && ts != s.Time {
-				return nil, fmt.Errorf("telemetry: scrape mixes timestamps %d and %d", s.Time, ts)
-			}
-			s.Time = ts
-		}
-		s.Values[name] = v
-	}
-	return s, nil
-}
-
-// splitMetricLine separates `name{labels}` from the rest, extracting the
-// node label into the scrape if present.
-func splitMetricLine(line string) (name, rest string, err error) {
+// splitSeriesLine separates `name{labels}` from the value fields after
+// it (labels is "" for a bare metric).
+func splitSeriesLine(line string) (name, labels, rest string, err error) {
 	brace := strings.IndexByte(line, '{')
 	if brace < 0 {
 		sp := strings.IndexByte(line, ' ')
 		if sp < 0 {
-			return "", "", fmt.Errorf("no value")
+			return "", "", "", fmt.Errorf("no value")
 		}
-		return line[:sp], line[sp+1:], nil
+		return line[:sp], "", line[sp+1:], nil
 	}
 	end := strings.IndexByte(line, '}')
 	if end < brace {
-		return "", "", fmt.Errorf("unterminated labels")
+		return "", "", "", fmt.Errorf("unterminated labels")
 	}
-	return line[:brace], strings.TrimSpace(line[end+1:]), nil
+	return line[:brace], line[brace : end+1], line[end+1:], nil
+}
+
+// cutField peels the next whitespace-separated field off s ("" when none
+// is left), in place: a series line is cut without allocating.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // Series is one parsed exposition series: the full name{labels} key and
-// its value. Used to read back NodeSentry's own /metrics endpoint
-// (internal/obs), where — unlike node scrapes — several series share a
-// metric name and differ only in labels.
+// its value. Node scrapes and NodeSentry's own /metrics endpoint
+// (internal/obs) — where several series share a metric name and differ
+// only in labels — read back through the same type.
 type Series struct {
 	// Name is the bare metric name.
 	Name string
@@ -123,39 +87,39 @@ type Series struct {
 func (s Series) Key() string { return s.Name + s.Labels }
 
 // ParseSeries parses a text exposition body into its individual series,
-// keeping labels intact (ParseScrape collapses them, which is right for
-// single-node collector scrapes but loses the per-priority / per-stage
-// series of a registry exposition). Comment lines are skipped; duplicate
-// keys keep the last value, as a scraper would.
+// labels intact — several series may share a metric name and differ only
+// in labels, as the per-priority / per-stage series of a registry
+// exposition do. Comment lines are skipped; duplicate keys are all
+// returned, in body order (SeriesMap keeps the last value, as a scraper
+// would). The body is parsed whole before anything is returned, so a
+// caller that applies the result never applies part of a rejected body.
 func ParseSeries(text string) ([]Series, error) {
 	var out []Series
-	for ln, line := range strings.Split(text, "\n") {
+	for ln := 1; text != ""; ln++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		name, rest, err := splitMetricLine(line)
+		name, labels, rest, err := splitSeriesLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("telemetry: series line %d: %w", ln+1, err)
+			return nil, fmt.Errorf("telemetry: series line %d: %w", ln, err)
 		}
-		labels := ""
-		if brace := strings.IndexByte(line, '{'); brace >= 0 && brace < len(name)+1 {
-			end := strings.IndexByte(line, '}')
-			labels = line[brace : end+1]
+		value, rest := cutField(rest)
+		stamp, rest := cutField(rest)
+		if extra, _ := cutField(rest); value == "" || extra != "" {
+			return nil, fmt.Errorf("telemetry: series line %d: want value [timestamp]", ln)
 		}
-		fields := strings.Fields(rest)
-		if len(fields) < 1 || len(fields) > 2 {
-			return nil, fmt.Errorf("telemetry: series line %d: want value [timestamp]", ln+1)
-		}
-		v, err := strconv.ParseFloat(fields[0], 64)
+		v, err := strconv.ParseFloat(value, 64)
 		if err != nil {
-			return nil, fmt.Errorf("telemetry: series line %d: bad value %q", ln+1, fields[0])
+			return nil, fmt.Errorf("telemetry: series line %d: bad value %q", ln, value)
 		}
 		var millis int64
-		if len(fields) == 2 {
-			millis, err = strconv.ParseInt(fields[1], 10, 64)
+		if stamp != "" {
+			millis, err = strconv.ParseInt(stamp, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("telemetry: series line %d: bad timestamp %q", ln+1, fields[1])
+				return nil, fmt.Errorf("telemetry: series line %d: bad timestamp %q", ln, stamp)
 			}
 		}
 		out = append(out, Series{Name: name, Labels: labels, Value: v, TimeMs: millis})
@@ -172,58 +136,25 @@ func SeriesMap(series []Series) map[string]float64 {
 	return out
 }
 
-// NodeOf extracts the node label of a scrape body ("" when absent).
-func NodeOf(text string) string {
-	idx := strings.Index(text, `node="`)
-	if idx < 0 {
-		return ""
-	}
-	rest := text[idx+len(`node="`):]
-	end := strings.IndexByte(rest, '"')
-	if end < 0 {
-		return ""
-	}
-	return rest[:end]
-}
-
 // LabelValue extracts one label's value from a canonical `{k="v",…}`
-// label string ("" when absent). Like NodeOf it assumes values without
-// embedded escaped quotes, which holds for everything FormatScrape and
-// the obs registry emit.
+// label string ("" when absent). The key matches only at a label
+// boundary — right after `{` or `,`, blanks skipped — so `node` is never
+// read out of `supernode=` or Prometheus's own `exported_node=`. It
+// assumes values without embedded escaped quotes, which holds for
+// everything FormatScrape and the obs registry emit.
 func LabelValue(labels, key string) string {
-	idx := strings.Index(labels, key+`="`)
-	if idx < 0 {
-		return ""
-	}
-	rest := labels[idx+len(key)+len(`="`):]
-	end := strings.IndexByte(rest, '"')
-	if end < 0 {
-		return ""
-	}
-	return rest[:end]
-}
-
-// VectorFromScrape orders a scrape's values according to the given metric
-// layout, returning NaN for metrics absent from the scrape (dropped
-// collectors), ready for Monitor.Ingest.
-func VectorFromScrape(s *Scrape, metrics []string) []float64 {
-	out := make([]float64, len(metrics))
-	for i, name := range metrics {
-		if v, ok := s.Values[name]; ok {
-			out[i] = v
-		} else {
-			out[i] = math.NaN()
+	for {
+		i := strings.IndexAny(labels, "{,")
+		if i < 0 {
+			return ""
+		}
+		labels = strings.TrimLeft(labels[i+1:], " \t")
+		if strings.HasPrefix(labels, key) && strings.HasPrefix(labels[len(key):], `="`) {
+			value, _, closed := strings.Cut(labels[len(key)+2:], `"`)
+			if !closed {
+				return ""
+			}
+			return value
 		}
 	}
-	return out
-}
-
-// MetricsOf lists a scrape's metric names, sorted.
-func MetricsOf(s *Scrape) []string {
-	out := make([]string, 0, len(s.Values))
-	for name := range s.Values {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,18 +102,26 @@ func TestParseSeriesDuplicateKeepsLast(t *testing.T) {
 }
 
 func TestLabelValue(t *testing.T) {
-	labels := `{node="cn-1",shard="3"}`
-	for _, tc := range []struct{ key, want string }{
-		{"node", "cn-1"},
-		{"shard", "3"},
-		{"absent", ""},
+	for _, tc := range []struct{ labels, key, want string }{
+		{`{node="cn-1",shard="3"}`, "node", "cn-1"},
+		{`{node="cn-1",shard="3"}`, "shard", "3"},
+		{`{node="cn-1",shard="3"}`, "absent", ""},
+		{`{node="unterminated`, "node", ""},
+		// The key matches at a label boundary only, never as the suffix of
+		// a longer key: federation's exported_node=, k8s_node=, supernode=.
+		{`{supernode="rack-7",node="cn-1"}`, "node", "cn-1"},
+		{`{exported_node="gw-2",node="cn-1"}`, "node", "cn-1"},
+		{`{k8s_node="worker-9",job="x",node="cn-1"}`, "node", "cn-1"},
+		{`{supernode="rack-7"}`, "node", ""},
+		{`{nodes="4",node="cn-1"}`, "node", "cn-1"},
+		// Hand-written bodies put blanks after the separator.
+		{`{job="x", node="cn-1"}`, "node", "cn-1"},
+		{`{node="",shard="3"}`, "node", ""},
+		{``, "node", ""},
 	} {
-		if got := LabelValue(labels, tc.key); got != tc.want {
-			t.Errorf("LabelValue(%q) = %q, want %q", tc.key, got, tc.want)
+		if got := LabelValue(tc.labels, tc.key); got != tc.want {
+			t.Errorf("LabelValue(%s, %q) = %q, want %q", tc.labels, tc.key, got, tc.want)
 		}
-	}
-	if got := LabelValue(`{node="unterminated`, "node"); got != "" {
-		t.Errorf("unterminated value = %q, want \"\"", got)
 	}
 }
 
@@ -157,21 +166,39 @@ func FuzzParseSeries(f *testing.F) {
 	})
 }
 
-// FuzzParseScrape mirrors FuzzParseSeries for the single-node parser.
+// FuzzParseScrape pins the scrape round trip on arbitrary bodies: what
+// ParseSeries accepts, rendered back one `name{labels} value [timestamp]`
+// line per series the way FormatScrape writes them, parses to the same
+// series — names, label strings, value bits and timestamps.
 func FuzzParseScrape(f *testing.F) {
 	for _, seed := range fuzzSeedBodies() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		s, err := ParseScrape(body)
+		series, err := ParseSeries(body)
 		if err != nil {
 			return
 		}
-		v := VectorFromScrape(s, MetricsOf(s))
-		for i, name := range MetricsOf(s) {
-			got, want := v[i], s.Values[name]
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) { //lint:ignore floatcmp exact copy check, no arithmetic involved
-				t.Fatalf("vector[%d] = %v, want %v", i, got, want)
+		var b strings.Builder
+		for _, s := range series {
+			b.WriteString(s.Key() + " " + formatValue(s.Value))
+			if s.TimeMs != 0 {
+				b.WriteString(" " + strconv.FormatInt(s.TimeMs, 10))
+			}
+			b.WriteByte('\n')
+		}
+		again, err := ParseSeries(b.String())
+		if err != nil {
+			t.Fatalf("re-rendered body %q rejected: %v", b.String(), err)
+		}
+		if len(again) != len(series) {
+			t.Fatalf("%d series re-parsed from %d", len(again), len(series))
+		}
+		for i, s := range series {
+			a := again[i]
+			if a.Name != s.Name || a.Labels != s.Labels || a.TimeMs != s.TimeMs ||
+				math.Float64bits(a.Value) != math.Float64bits(s.Value) {
+				t.Fatalf("series %d: %+v re-parsed as %+v", i, s, a)
 			}
 		}
 	})

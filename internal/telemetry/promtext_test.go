@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -23,19 +24,24 @@ func scrapeFrame() *mts.NodeFrame {
 
 func TestFormatParseScrapeRoundTrip(t *testing.T) {
 	f := scrapeFrame()
-	text := FormatScrape(f, 0)
-	s, err := ParseScrape(text)
+	series, err := ParseSeries(FormatScrape(f, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Time != f.TimeAt(0) {
-		t.Errorf("time = %d, want %d", s.Time, f.TimeAt(0))
+	want := []Series{
+		{Name: "node_cpu_busy_total", Labels: `{node="cn-0042"}`, Value: 12.5, TimeMs: f.TimeAt(0) * 1000},
+		{Name: "node_mem_used_total", Labels: `{node="cn-0042"}`, Value: 3e9, TimeMs: f.TimeAt(0) * 1000},
 	}
-	if s.Values["node_cpu_busy_total"] != 12.5 || s.Values["node_mem_used_total"] != 3e9 {
-		t.Errorf("values = %v", s.Values)
+	if len(series) != len(want) {
+		t.Fatalf("parsed %d series, want %d: %+v", len(series), len(want), series)
 	}
-	if NodeOf(text) != "cn-0042" {
-		t.Errorf("NodeOf = %q", NodeOf(text))
+	for i := range want {
+		if series[i] != want[i] {
+			t.Errorf("series %d = %+v, want %+v", i, series[i], want[i])
+		}
+	}
+	if got := LabelValue(series[0].Labels, "node"); got != "cn-0042" {
+		t.Errorf("node label = %q", got)
 	}
 }
 
@@ -45,67 +51,94 @@ func TestFormatScrapeOmitsNaN(t *testing.T) {
 	if strings.Contains(text, "node_cpu_busy_total{") {
 		t.Error("NaN sample was exported")
 	}
-	s, err := ParseScrape(text)
+	series, err := ParseSeries(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Values["node_cpu_busy_total"]; ok {
-		t.Error("NaN sample round-tripped")
-	}
-	// VectorFromScrape restores the layout with NaN holes.
-	v := VectorFromScrape(s, f.Metrics)
-	if !math.IsNaN(v[0]) || v[1] != 4e9 {
-		t.Errorf("vector = %v", v)
+	// The hole stays a hole on the wire; ingest.Decoder restores the
+	// layout with NaN in it (TestDecoderVectorNaNSemantics).
+	if len(series) != 1 || series[0].Name != "node_mem_used_total" || series[0].Value != 4e9 {
+		t.Errorf("series = %+v, want node_mem_used_total alone", series)
 	}
 }
 
+// TestParseScrapeErrors pins what a malformed scrape body is rejected
+// with: the 1-based line number counts comment and blank lines, and the
+// message names the offending field.
 func TestParseScrapeErrors(t *testing.T) {
-	for _, bad := range []string{
-		"node_x{node=\"a\"} notanumber 1000",
-		"node_x{node=\"a\" 1 1000",
-		"node_x",
-		"node_x{node=\"a\"} 1 xx",
-		"a{n=\"1\"} 1 1000\nb{n=\"1\"} 2 2000", // mixed timestamps
+	for _, tc := range []struct{ body, want string }{
+		{"node_x{node=\"a\"} notanumber 1000", `telemetry: series line 1: bad value "notanumber"`},
+		{"# c\n\nnode_x{node=\"a\" 1 1000", `telemetry: series line 3: unterminated labels`},
+		{"ok 1\nnode_x", `telemetry: series line 2: no value`},
+		{"ok 1\r\nnode_x{node=\"a\"} 1 xx\n", `telemetry: series line 2: bad timestamp "xx"`},
+		{"node_x{node=\"a\"}\t1\t2\t3", `telemetry: series line 1: want value [timestamp]`},
+		{"node_x{node=\"a\"}   ", `telemetry: series line 1: want value [timestamp]`},
 	} {
-		if _, err := ParseScrape(bad); err == nil {
-			t.Errorf("ParseScrape(%q) accepted", bad)
+		series, err := ParseSeries(tc.body)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ParseSeries(%q) error = %v, want %s", tc.body, err, tc.want)
+		}
+		if series != nil {
+			t.Errorf("ParseSeries(%q) returned %d series beside its error", tc.body, len(series))
 		}
 	}
 }
 
 func TestParseScrapeBareMetric(t *testing.T) {
-	s, err := ParseScrape("up 1 1700000000000\n")
+	series, err := ParseSeries("up 1 1700000000000\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Values["up"] != 1 || s.Time != 1700000000 {
-		t.Errorf("scrape = %+v", s)
-	}
-}
-
-func TestMetricsOfSorted(t *testing.T) {
-	s := &Scrape{Values: map[string]float64{"b": 1, "a": 2}}
-	m := MetricsOf(s)
-	if len(m) != 2 || m[0] != "a" || m[1] != "b" {
-		t.Errorf("MetricsOf = %v", m)
+	if want := (Series{Name: "up", Value: 1, TimeMs: 1700000000000}); len(series) != 1 || series[0] != want {
+		t.Errorf("series = %+v, want %+v", series, want)
 	}
 }
 
 func TestScrapeIntoMonitorVector(t *testing.T) {
-	// End-to-end: generated frame -> exposition text -> parsed vector
-	// matching the frame's own column order.
+	// End-to-end: generated frame -> exposition text -> parsed series
+	// carrying the frame's own columns, in the frame's order.
 	g := &Generator{Catalog: BuildCatalog(CatalogOptions{Cores: 1}), Step: 60, Seed: 3, NoiseStd: 0}
 	spans := []mts.JobSpan{{Job: 1, Start: 0, End: 600}}
 	f := g.Generate("cn-1", spans, map[int64]string{1: "cfd"}, 10, nil)
-	text := FormatScrape(f, 4)
-	s, err := ParseScrape(text)
+	series, err := ParseSeries(FormatScrape(f, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := VectorFromScrape(s, f.Metrics)
-	for m := range f.Metrics {
-		if math.Abs(v[m]-f.Data[m][4]) > math.Abs(f.Data[m][4])*1e-12 {
-			t.Fatalf("metric %d: %v != %v", m, v[m], f.Data[m][4])
+	next := 0
+	for m, name := range f.Metrics {
+		want := f.Data[m][4]
+		if math.IsNaN(want) {
+			continue // omitted from the scrape
 		}
+		if next == len(series) {
+			t.Fatalf("scrape ends before metric %s", name)
+		}
+		s := series[next]
+		next++
+		// 'g' -1 formatting round-trips a float64 exactly.
+		if s.Name != name || math.Float64bits(s.Value) != math.Float64bits(want) {
+			t.Fatalf("metric %d: series %+v, want %s = %v", m, s, name, want)
+		}
+	}
+	if next != len(series) {
+		t.Errorf("scrape carries %d series beyond the frame's", len(series)-next)
+	}
+}
+
+// TestParseSeriesAllocations pins the in-place line and field cutting: a
+// body costs the growth of the returned slice and nothing per line.
+func TestParseSeriesAllocations(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&b, "metric_%03d{node=\"cn-1\"} %d.5 60000\n", i, i)
+	}
+	body := b.String()
+	allocs := testing.AllocsPerRun(20, func() {
+		if series, err := ParseSeries(body); err != nil || len(series) != 1000 {
+			t.Fatalf("parsed %d series, err %v", len(series), err)
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("ParseSeries of a 1,000-line body: %v allocations, want <= 32", allocs)
 	}
 }
