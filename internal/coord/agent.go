@@ -7,13 +7,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
 	"nodesentry/internal/core"
+	"nodesentry/internal/ingest"
 	"nodesentry/internal/obs"
 	"nodesentry/internal/runtime"
 )
@@ -252,6 +253,9 @@ func (ag *Agent) leave() {
 	}{ag.cfg.ID}, nil)
 }
 
+// forwardBackoff spaces ForwardAlert's three attempts 50 ms apart.
+var forwardBackoff = ingest.Backoff{Base: 50 * time.Millisecond, Factor: 1}
+
 // ForwardAlert sends one alert to the coordinator under the current
 // assignment epoch. At-least-once: transient transport errors retry
 // twice; the coordinator's fence and dedup make redelivery safe. The
@@ -263,7 +267,7 @@ func (ag *Agent) ForwardAlert(a runtime.Alert) (string, error) {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
-			time.Sleep(50 * time.Millisecond)
+			<-time.After(forwardBackoff.Delay(attempt, nil))
 		}
 		if err = ag.postJSON("/coord/alerts", env, &verdict); err == nil {
 			switch verdict.Status {
@@ -289,12 +293,12 @@ func (ag *Agent) SyncModel() error {
 	if ag.mon == nil {
 		return nil
 	}
-	body, err := ag.get("/registry/manifest")
+	body, err := ag.get("/registry/manifest", ingest.DefaultMaxBodyBytes)
 	if err != nil {
 		return err
 	}
 	var man Manifest
-	if err := json.Unmarshal(body, &man); err != nil {
+	if err := json.Unmarshal([]byte(body), &man); err != nil {
 		return fmt.Errorf("coord: decode manifest: %w", err)
 	}
 	if !man.HasActive {
@@ -307,16 +311,18 @@ func (ag *Agent) SyncModel() error {
 		return nil
 	}
 	ag.met.pulls.Inc()
-	payload, err := ag.get("/registry/model/" + man.Active.ID)
+	// The manifest says how long the payload is: a byte more fails the pull
+	// before anything is hashed or decoded.
+	payload, err := ag.get("/registry/model/"+man.Active.ID, man.Active.Bytes)
 	if err != nil {
 		return err
 	}
-	sum := sha256.Sum256(payload)
+	sum := sha256.Sum256([]byte(payload))
 	if hex.EncodeToString(sum[:]) != man.Active.SHA256 {
 		return fmt.Errorf("coord: model %s checksum mismatch (have %s, manifest %s)",
 			man.Active.ID, hex.EncodeToString(sum[:8]), man.Active.SHA256[:16])
 	}
-	det, err := core.Load(bytes.NewReader(payload))
+	det, err := core.Load(strings.NewReader(payload))
 	if err != nil {
 		return fmt.Errorf("coord: decode model %s: %w", man.Active.ID, err)
 	}
@@ -353,6 +359,8 @@ func errIsGone(err error) bool {
 	return ok
 }
 
+// postJSON posts req and decodes the coordinator's answer into resp, the
+// answer bounded by ingest.DefaultMaxBodyBytes.
 func (ag *Agent) postJSON(path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -362,8 +370,8 @@ func (ag *Agent) postJSON(path string, req, resp any) error {
 	if err != nil {
 		return fmt.Errorf("coord: post %s: %w", path, err)
 	}
-	defer func() { _ = r.Body.Close() }() // body fully consumed below; close error is inert
-	raw, err := io.ReadAll(r.Body)
+	defer func() { _ = r.Body.Close() }() // body read (or abandoned past the bound) below; close error is inert
+	raw, err := ingest.ReadLimited(r.Body, ingest.DefaultMaxBodyBytes)
 	if err != nil {
 		return fmt.Errorf("coord: read %s: %w", path, err)
 	}
@@ -374,25 +382,27 @@ func (ag *Agent) postJSON(path string, req, resp any) error {
 		return fmt.Errorf("coord: post %s: %s", path, r.Status)
 	}
 	if resp != nil && len(raw) > 0 {
-		if err := json.Unmarshal(raw, resp); err != nil {
+		if err := json.Unmarshal([]byte(raw), resp); err != nil {
 			return fmt.Errorf("coord: decode %s response: %w", path, err)
 		}
 	}
 	return nil
 }
 
-func (ag *Agent) get(path string) ([]byte, error) {
+// get fetches one coordinator surface, failing once the body passes limit
+// bytes.
+func (ag *Agent) get(path string, limit int64) (string, error) {
 	r, err := ag.cfg.Client.Get(ag.cfg.CoordinatorURL + path)
 	if err != nil {
-		return nil, fmt.Errorf("coord: get %s: %w", path, err)
+		return "", fmt.Errorf("coord: get %s: %w", path, err)
 	}
-	defer func() { _ = r.Body.Close() }() // body fully consumed below; close error is inert
+	defer func() { _ = r.Body.Close() }() // body read (or abandoned past the bound) below; close error is inert
 	if r.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("coord: get %s: %s", path, r.Status)
+		return "", fmt.Errorf("coord: get %s: %s", path, r.Status)
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := ingest.ReadLimited(r.Body, limit)
 	if err != nil {
-		return nil, fmt.Errorf("coord: read %s: %w", path, err)
+		return "", fmt.Errorf("coord: read %s: %w", path, err)
 	}
 	return body, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -22,6 +21,10 @@ import (
 	"nodesentry/internal/telemetry"
 )
 
+// mergedJournalSize bounds the merged event journal: room for several
+// scorers' fleetview journals at once.
+const mergedJournalSize = 4096
+
 // Config parameterizes a Coordinator.
 type Config struct {
 	// TotalShards is the number of partition lines the fleet is split
@@ -33,17 +36,11 @@ type Config struct {
 	// SweepInterval is Run's cadence for lease expiry + fleet fan-in
 	// (default 2s).
 	SweepInterval time.Duration
-	// JournalSize bounds the merged event journal (default 4096).
-	JournalSize int
 	// DedupWindow bounds the (node, time) alert-dedup memory (default
 	// 8192 keys, FIFO-evicted).
 	DedupWindow int
 	// LedgerSize bounds the accepted-alert ledger (default 16384).
 	LedgerSize int
-	// SSEBuffer / KeepAlive parameterize the merged /fleet/events SSE
-	// stream exactly as fleetview.Config does.
-	SSEBuffer int
-	KeepAlive time.Duration
 	// VicinityThreshold is only cosmetic here: the merged dashboard's
 	// divergence highlight line (default 4).
 	VicinityThreshold float64
@@ -83,20 +80,11 @@ func (c Config) withDefaults() Config {
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = 2 * time.Second
 	}
-	if c.JournalSize <= 0 {
-		c.JournalSize = 4096
-	}
 	if c.DedupWindow <= 0 {
 		c.DedupWindow = 8192
 	}
 	if c.LedgerSize <= 0 {
 		c.LedgerSize = 16384
-	}
-	if c.SSEBuffer <= 0 {
-		c.SSEBuffer = 64
-	}
-	if c.KeepAlive <= 0 {
-		c.KeepAlive = 15 * time.Second
 	}
 	if c.VicinityThreshold <= 0 {
 		c.VicinityThreshold = 4
@@ -200,7 +188,7 @@ func New(cfg Config) *Coordinator {
 		owner:   make([]string, cfg.TotalShards),
 		since:   make([]int64, cfg.TotalShards),
 		dedup:   map[string]struct{}{},
-		journal: fleetview.NewJournal(cfg.JournalSize),
+		journal: fleetview.NewJournal(mergedJournalSize),
 		bus:     fleetview.NewBus(),
 		met:     newCoordMetrics(cfg.Metrics),
 		log:     cfg.Logger,
@@ -641,7 +629,7 @@ func (c *Coordinator) fetchState(base string) (fleetview.FleetState, error) {
 	if err != nil {
 		return st, err
 	}
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		return st, fmt.Errorf("coord: decode fleet state: %w", err)
 	}
 	return st, nil
@@ -653,7 +641,7 @@ func (c *Coordinator) fetchEvents(base string, since uint64) ([]fleetview.Event,
 		return nil, err
 	}
 	var events []fleetview.Event
-	if err := json.Unmarshal(body, &events); err != nil {
+	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		return nil, fmt.Errorf("coord: decode events: %w", err)
 	}
 	return events, nil
@@ -664,25 +652,28 @@ func (c *Coordinator) fetchMetrics(base string) ([]telemetry.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	series, err := telemetry.ParseSeries(string(body))
+	series, err := telemetry.ParseSeries(body)
 	if err != nil {
 		return nil, fmt.Errorf("coord: parse scorer metrics: %w", err)
 	}
 	return series, nil
 }
 
-func (c *Coordinator) get(url string) ([]byte, error) {
+// get fetches one scorer surface, its body bounded by
+// ingest.DefaultMaxBodyBytes: a scorer answering with more fails the fetch,
+// and the sweep keeps the member's last good cache.
+func (c *Coordinator) get(url string) (string, error) {
 	resp, err := c.cfg.Client.Get(url)
 	if err != nil {
-		return nil, fmt.Errorf("coord: get %s: %w", url, err)
+		return "", fmt.Errorf("coord: get %s: %w", url, err)
 	}
-	defer func() { _ = resp.Body.Close() }() // body fully consumed below; close error is inert
+	defer func() { _ = resp.Body.Close() }() // body read (or abandoned past the bound) below; close error is inert
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("coord: get %s: %s", url, resp.Status)
+		return "", fmt.Errorf("coord: get %s: %s", url, resp.Status)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := ingest.ReadLimited(resp.Body, ingest.DefaultMaxBodyBytes)
 	if err != nil {
-		return nil, fmt.Errorf("coord: read %s: %w", url, err)
+		return "", fmt.Errorf("coord: read %s: %w", url, err)
 	}
 	return body, nil
 }

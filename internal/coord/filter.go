@@ -37,13 +37,18 @@ func NewShardFilter(sink ingest.Sink, metrics *obs.Registry) *ShardFilter {
 	return &ShardFilter{sink: sink, dropMet: metrics.Counter("nodesentry_coord_filtered_total")}
 }
 
+// maxTotalShards bounds the partition table an assignment may install, so
+// a mangled total cannot make the filter allocate without limit.
+const maxTotalShards = 1 << 16
+
 // SetAssignment installs a new shard set; samples for unowned shards are
 // filtered from this point on. An assignment without a positive
 // TotalShards has no partition lines to place a node on (an empty or
-// mangled coordinator response decodes to one): it is rejected and the
-// previous assignment stays in force.
+// mangled coordinator response decodes to one), and one past
+// maxTotalShards is mangled too: either is rejected and the previous
+// assignment stays in force.
 func (f *ShardFilter) SetAssignment(a Assignment) error {
-	if a.TotalShards <= 0 {
+	if a.TotalShards <= 0 || a.TotalShards > maxTotalShards {
 		return fmt.Errorf("coord: assignment epoch %d has %d total shards", a.Epoch, a.TotalShards)
 	}
 	owned := make([]bool, a.TotalShards)

@@ -3,6 +3,7 @@ package coord
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"nodesentry/internal/fleetview"
@@ -53,11 +54,9 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /fleet/nodes/{node}", c.serveNodeProxy)
 	mux.Handle("GET /fleet/events", fleetview.EventsServer{
-		Journal:   c.journal,
-		Bus:       c.bus,
-		Buffer:    c.cfg.SSEBuffer,
-		KeepAlive: c.cfg.KeepAlive,
-		Done:      c.done,
+		Journal: c.journal,
+		Bus:     c.bus,
+		Done:    c.done,
 	})
 	mux.HandleFunc("GET /fleet/incidents", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.egress.Summarizer().Incidents())
@@ -215,5 +214,5 @@ func (c *Coordinator) serveNodeProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body) // relayed verbatim; write errors mean the client left
+	_, _ = io.WriteString(w, body) // relayed verbatim; write errors mean the client left
 }

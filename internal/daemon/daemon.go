@@ -84,9 +84,6 @@ type Config struct {
 	// per-alert — the coordinator runs its own summarizer over the
 	// merged fan-in.
 	Summary *summary.Config
-	// OnIncident, when non-nil, observes every incident transition on
-	// the flushing goroutine (after journaling, before webhook delivery).
-	OnIncident func(summary.Incident, summary.Transition)
 
 	// Lifecycle, when non-nil, runs the drift→retrain→shadow→swap loop.
 	// Store and ActiveID identify the registry lineage the loop records
@@ -226,15 +223,18 @@ func New(cfg Config) (*Daemon, error) {
 	}
 
 	// Alert egress: raw per-alert bodies, or with Summary one folded body
-	// per incident open/resolve. Scorer→coordinator forwarding stays
+	// per incident open/resolve, each transition journaled on the fleet
+	// journal's incident lane first. Scorer→coordinator forwarding stays
 	// per-alert on the consumer; the coordinator folds the merged fan-in.
 	ecfg := summary.EgressConfig[runtime.Alert]{
 		Summary: cfg.Summary,
 		Event:   summary.FromAlert,
 		SendRaw: (*runtime.WebhookSink).Send,
-		Journal: d.journalIncident,
 		Metrics: cfg.Metrics,
 		Logger:  cfg.Logger,
+	}
+	if d.fv != nil {
+		ecfg.Journal = d.fv.RecordIncident
 	}
 	if cfg.WebhookURL != "" {
 		ecfg.Sink = &runtime.WebhookSink{
@@ -351,17 +351,6 @@ func (d *Daemon) consume() {
 		if d.cfg.OnAlert != nil {
 			d.cfg.OnAlert(a)
 		}
-	}
-}
-
-// journalIncident is where the egress records incident transitions: the
-// fleet journal's incident lane, then Config.OnIncident.
-func (d *Daemon) journalIncident(inc summary.Incident, tr summary.Transition) {
-	if d.fv != nil {
-		d.fv.RecordIncident(inc, tr)
-	}
-	if d.cfg.OnIncident != nil {
-		d.cfg.OnIncident(inc, tr)
 	}
 }
 

@@ -34,64 +34,57 @@ import (
 	"nodesentry/internal/summary"
 )
 
+// The aggregator's fixed bounds.
+const (
+	// historyLen is the per-node ring-buffer length in scored windows.
+	historyLen = 256
+	// sparkPoints is how many trailing ring points /fleet/state inlines
+	// per node for the dashboard heatmap, and the most a client may ask
+	// for with ?spark=.
+	sparkPoints = 48
+	// recentWindows is how many trailing windows the vicinity residual
+	// averages into a node's "recent score".
+	recentWindows = 8
+	// journalSize bounds the event journal ring.
+	journalSize = 2048
+	// residualHistory is the per-node ring of retained vicinity residual
+	// evaluations served by /fleet/nodes/{node} — the sustained-divergence
+	// trace a single latest value can't show.
+	residualHistory = 64
+	// minPeers is the minimum job-peer group size for vicinity residuals:
+	// below it the median/MAD are too fragile to accuse a node of
+	// diverging.
+	minPeers = 3
+	// vicinityCooldownSec suppresses repeat vicinity alerts per node
+	// within the window, mirroring the monitor's alert cooldown.
+	vicinityCooldownSec = 300
+	// sustainK of the last sustainN evaluations (including the current
+	// one) must put a node's residual at or above the vicinity threshold
+	// before a vicinity alert fires — sustained divergence, not a
+	// one-sample blip.
+	sustainK, sustainN = 2, 4
+
+	// sseBuffer is the per-client SSE event queue capacity. A client that
+	// falls further behind has events dropped (counted); the seq gap tells
+	// it to re-sync via /fleet/events?since=.
+	sseBuffer = 64
+	// sseKeepAlive is the SSE comment-ping interval holding idle streams
+	// open through proxies.
+	sseKeepAlive = 15 * time.Second
+)
+
 // Config parameterizes an Aggregator.
 type Config struct {
-	// History is the per-node ring-buffer length in scored windows
-	// (default 256).
-	History int
-	// Spark is how many trailing ring points /fleet/state inlines per
-	// node for the dashboard heatmap (default 48, capped at History).
-	Spark int
-	// RecentWindows is how many trailing windows the vicinity residual
-	// averages into a node's "recent score" (default 8).
-	RecentWindows int
-	// JournalSize bounds the event journal ring (default 2048).
-	JournalSize int
 	// Source, when set, namespaces every journaled event with this daemon
 	// ID (Event.Src/SrcSeq) so a coordinator merging several scorer feeds
 	// can dedup replays per source. Empty (the default) leaves the
 	// standalone wire format untouched.
 	Source string
-	// ResidualHistory is the per-node ring of retained vicinity residual
-	// evaluations (default 64) served by /fleet/nodes/{node} — the
-	// sustained-divergence trace a single latest value can't show.
-	ResidualHistory int
-
-	// MinPeers is the minimum job-peer group size for vicinity residuals
-	// (default 3): below it the median/MAD are too fragile to accuse a
-	// node of diverging.
-	MinPeers int
 	// VicinityThreshold is the robust-z at which a node counts as
 	// peer-divergent (default 4).
 	VicinityThreshold float64
-	// VicinityCooldownSec suppresses repeat vicinity alerts per node
-	// within the window (default 300 s, mirroring the monitor's alert
-	// cooldown).
-	VicinityCooldownSec int64
-	// SustainK of the last SustainN evaluations (including the current
-	// one) must put a node's residual at or above VicinityThreshold
-	// before a vicinity alert fires (defaults 2 of 4) — sustained
-	// divergence, not a one-sample blip. SustainK=1 restores the
-	// instantaneous behavior. SustainN is clamped to ResidualHistory,
-	// the ring the counts are read from.
-	SustainK int
-	SustainN int
 	// EvalInterval is Run's vicinity evaluation cadence (default 15 s).
 	EvalInterval time.Duration
-
-	// SSEBuffer is the per-client event queue capacity (default 64).
-	// A client that falls further behind has events dropped (counted);
-	// the seq gap tells it to re-sync via /fleet/events?since=.
-	SSEBuffer int
-	// KeepAlive is the SSE comment-ping interval holding idle streams
-	// open through proxies (default 15 s).
-	KeepAlive time.Duration
-
-	// OnVicinityAlert, when non-nil, receives every vicinity alert on the
-	// evaluating goroutine (after journaling). The monitor's own alert
-	// channel is never touched — vicinity alerts are a separate surface,
-	// keeping per-node alerts byte-identical with fleetview on or off.
-	OnVicinityAlert func(VicinityAlert)
 
 	// Metrics, when non-nil, receives the nodesentry_fleet_* and
 	// nodesentry_vicinity_* series plus the snapshot epoch/seq gauges
@@ -102,53 +95,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.History <= 0 {
-		c.History = 256
-	}
-	if c.Spark <= 0 {
-		c.Spark = 48
-	}
-	if c.Spark > c.History {
-		c.Spark = c.History
-	}
-	if c.RecentWindows <= 0 {
-		c.RecentWindows = 8
-	}
-	if c.JournalSize <= 0 {
-		c.JournalSize = 2048
-	}
-	if c.ResidualHistory <= 0 {
-		c.ResidualHistory = 64
-	}
-	if c.MinPeers <= 0 {
-		c.MinPeers = 3
-	}
 	if c.VicinityThreshold <= 0 {
 		c.VicinityThreshold = 4
 	}
-	if c.VicinityCooldownSec <= 0 {
-		c.VicinityCooldownSec = 300
-	}
-	if c.SustainK <= 0 {
-		c.SustainK = 2
-	}
-	if c.SustainN <= 0 {
-		c.SustainN = 4
-	}
-	if c.SustainN > c.ResidualHistory {
-		c.SustainN = c.ResidualHistory
-	}
-	if c.SustainK > c.SustainN {
-		c.SustainK = c.SustainN
-	}
 	if c.EvalInterval <= 0 {
 		c.EvalInterval = 15 * time.Second
-	}
-	if c.SSEBuffer <= 0 {
-		c.SSEBuffer = 64
-	}
-	if c.KeepAlive <= 0 {
-		c.KeepAlive = 15 * time.Second
 	}
 	return c
 }
@@ -351,7 +302,7 @@ func New(mon *runtime.Monitor, cfg Config) *Aggregator {
 		cfg:     cfg,
 		mon:     mon,
 		nodes:   map[string]*nodeHist{},
-		journal: NewJournal(cfg.JournalSize),
+		journal: NewJournal(journalSize),
 		bus:     NewBus(),
 		faults:  map[string]int64{},
 		reg:     cfg.Metrics,
@@ -410,7 +361,7 @@ func (a *Aggregator) Run(ctx context.Context) {
 func (a *Aggregator) state(node string) *nodeHist {
 	h, ok := a.nodes[node]
 	if !ok {
-		h = &nodeHist{ring: make([]Point, a.cfg.History), resRing: make([]ResidualPoint, a.cfg.ResidualHistory), cluster: -1, lastDist: nan}
+		h = &nodeHist{ring: make([]Point, historyLen), resRing: make([]ResidualPoint, residualHistory), cluster: -1, lastDist: nan}
 		if a.reg != nil {
 			h.resScoreG = a.reg.Gauge("nodesentry_vicinity_residual", "node", node, "signal", "score")
 			h.resDistG = a.reg.Gauge("nodesentry_vicinity_residual", "node", node, "signal", "distance")

@@ -66,11 +66,9 @@ func finite(v float64) float64 {
 }
 
 // State assembles the current fleet state. sparkN bounds the inline ring
-// points per node (0 = none; capped at Config.Spark).
+// points per node (0 = none; capped at sparkPoints).
 func (a *Aggregator) State(sparkN int) FleetState {
-	if sparkN > a.cfg.Spark {
-		sparkN = a.cfg.Spark
-	}
+	sparkN = min(sparkN, sparkPoints)
 	view := a.mon.SnapshotConsistent()
 	st := FleetState{
 		Now:        time.Now().Unix(),
@@ -92,7 +90,7 @@ func (a *Aggregator) State(sparkN int) FleetState {
 		}
 		if h, ok := a.nodes[ns.Node]; ok {
 			row.Ready = h.n > 0
-			row.Score = finite(h.recent(a.cfg.RecentWindows))
+			row.Score = finite(h.recent(recentWindows))
 			row.Distance = finite(h.lastDist)
 			row.VicScore = finite(h.vicScore)
 			row.VicDist = finite(h.vicDist)
@@ -138,7 +136,7 @@ func (a *Aggregator) nodeDetail(node string) (NodeDetail, bool) {
 		if !found {
 			// Seen by the tap but already gone from the monitor snapshot;
 			// serve what the ring remembers.
-			row = NodeState{Node: node, Ready: h.n > 0, Score: finite(h.recent(a.cfg.RecentWindows)),
+			row = NodeState{Node: node, Ready: h.n > 0, Score: finite(h.recent(recentWindows)),
 				Distance: finite(h.lastDist), VicScore: finite(h.vicScore), VicDist: finite(h.vicDist),
 				Peers: h.peers, Cluster: h.cluster, Matched: h.matched}
 			found = true
@@ -188,7 +186,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (a *Aggregator) serveState(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	a.met.stateReqs.Inc()
-	sparkN := a.cfg.Spark
+	sparkN := sparkPoints
 	if s := r.URL.Query().Get("spark"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
@@ -225,8 +223,6 @@ func (a *Aggregator) serveEvents(w http.ResponseWriter, r *http.Request) {
 	EventsServer{
 		Journal:   a.journal,
 		Bus:       a.bus,
-		Buffer:    a.cfg.SSEBuffer,
-		KeepAlive: a.cfg.KeepAlive,
 		Done:      a.done,
 		OnClients: func(delta int) { a.met.sseClients.Add(float64(delta)) },
 	}.ServeHTTP(w, r)
@@ -236,14 +232,11 @@ func (a *Aggregator) serveEvents(w http.ResponseWriter, r *http.Request) {
 // JSON replay (?since=seq) by default, a live Server-Sent-Events stream
 // when the client asks (Accept: text/event-stream or ?stream=1). The
 // aggregator's own endpoint and the coordinator's merged feed are both
-// this handler over different journals.
+// this handler over different journals; each stream queues up to
+// sseBuffer events and pings every sseKeepAlive.
 type EventsServer struct {
 	Journal *Journal
 	Bus     *Bus
-	// Buffer is the per-client SSE queue capacity; KeepAlive the
-	// comment-ping interval.
-	Buffer    int
-	KeepAlive time.Duration
 	// Done, when non-nil, ends every open stream when closed.
 	Done <-chan struct{}
 	// OnClients, when non-nil, observes stream open(+1)/close(-1) — the
@@ -286,15 +279,7 @@ func (s EventsServer) stream(w http.ResponseWriter, r *http.Request, since uint6
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
 		return
 	}
-	buffer := s.Buffer
-	if buffer <= 0 {
-		buffer = 64
-	}
-	keepAlive := s.KeepAlive
-	if keepAlive <= 0 {
-		keepAlive = 15 * time.Second
-	}
-	ch := s.Bus.Subscribe(buffer)
+	ch := s.Bus.Subscribe(sseBuffer)
 	defer s.Bus.Unsubscribe(ch)
 	if s.OnClients != nil {
 		s.OnClients(1)
@@ -330,7 +315,7 @@ func (s EventsServer) stream(w http.ResponseWriter, r *http.Request, since uint6
 	}
 	fl.Flush()
 
-	keep := time.NewTicker(keepAlive)
+	keep := time.NewTicker(sseKeepAlive)
 	defer keep.Stop()
 	ctx := r.Context()
 	for {

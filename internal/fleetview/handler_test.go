@@ -26,7 +26,7 @@ func serveFixture(t *testing.T, reg *obs.Registry) (*runtime.Monitor, *Aggregato
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(mon, Config{Spark: 16, VicinityThreshold: 3.5, Metrics: reg})
+	a := New(mon, Config{VicinityThreshold: 3.5, Metrics: reg})
 	src := ds.Nodes()[0]
 	from, to, ok := cleanWindow(ds, src, 120)
 	if !ok {
@@ -91,6 +91,36 @@ func TestStateEndpoint(t *testing.T) {
 	}
 	if code, _ := getBody(t, srv.URL+"/fleet/state?spark=-1"); code != http.StatusBadRequest {
 		t.Errorf("negative spark accepted: %d", code)
+	}
+}
+
+// TestStateSparkCapped: a client asking for more inline points than
+// sparkPoints gets exactly sparkPoints from a node whose ring holds more.
+func TestStateSparkCapped(t *testing.T) {
+	_, a, srv := serveFixture(t, obs.NewRegistry())
+	for i := 0; i < 2*sparkPoints; i++ {
+		a.onScores("web-0", 0, int64(i), []float64{1})
+	}
+
+	_, body := getBody(t, srv.URL+"/fleet/state?spark="+strconv.Itoa(10*sparkPoints))
+	var st FleetState
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("unmarshal /fleet/state: %v\n%s", err, body)
+	}
+	found := false
+	for _, ns := range st.Nodes {
+		if len(ns.Spark) > sparkPoints {
+			t.Errorf("node %s spark has %d points, cap is %d", ns.Node, len(ns.Spark), sparkPoints)
+		}
+		if ns.Node == "web-0" {
+			found = true
+			if len(ns.Spark) != sparkPoints {
+				t.Errorf("web-0 spark has %d points, want the cap %d", len(ns.Spark), sparkPoints)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("web-0 missing from /fleet/state")
 	}
 }
 

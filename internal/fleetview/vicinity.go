@@ -83,7 +83,7 @@ func (a *Aggregator) Evaluate() []VicinityAlert {
 		}
 		groups[ns.Job] = append(groups[ns.Job], peerSample{
 			node:  ns.Node,
-			score: h.recent(a.cfg.RecentWindows),
+			score: h.recent(recentWindows),
 			dist:  h.lastDist,
 		})
 	}
@@ -109,8 +109,8 @@ func (a *Aggregator) Evaluate() []VicinityAlert {
 				dists = append(dists, p.dist)
 			}
 		}
-		scoreOK := len(scores) >= a.cfg.MinPeers
-		distOK := len(dists) >= a.cfg.MinPeers
+		scoreOK := len(scores) >= minPeers
+		distOK := len(dists) >= minPeers
 		if !scoreOK && !distOK {
 			continue
 		}
@@ -158,14 +158,14 @@ func (a *Aggregator) Evaluate() []VicinityAlert {
 		h.pushResidual(ResidualPoint{Ts: now, Score: gz(r.zScore), Dist: gz(r.zDist), Peers: r.peers})
 
 		// A signal fires only on sustained divergence: the current
-		// residual is over the threshold AND at least SustainK of the
-		// last SustainN evaluations (the residual ring, current pass
+		// residual is over the threshold AND at least sustainK of the
+		// last sustainN evaluations (the residual ring, current pass
 		// included) were too. One elevated sample is a blip; k of n is a
 		// diverging node.
 		thr := a.cfg.VicinityThreshold
 		overNow := func(z float64) bool { return !math.IsNaN(z) && z >= thr }
 		held := func(dist bool) bool {
-			return h.sustained(a.cfg.SustainN, thr, dist) >= a.cfg.SustainK
+			return h.sustained(sustainN, thr, dist) >= sustainK
 		}
 		signal, z, val, med := "", 0.0, 0.0, 0.0
 		switch {
@@ -176,7 +176,7 @@ func (a *Aggregator) Evaluate() []VicinityAlert {
 		default:
 			continue
 		}
-		if now-h.lastVicAlert < a.cfg.VicinityCooldownSec {
+		if now-h.lastVicAlert < vicinityCooldownSec {
 			continue
 		}
 		h.lastVicAlert = now
@@ -202,9 +202,6 @@ func (a *Aggregator) Evaluate() []VicinityAlert {
 		if a.log != nil {
 			a.log.Info("vicinity alert", "node", al.Node, "job", al.Job,
 				"signal", al.Signal, "residual", al.Residual, "peers", al.Peers)
-		}
-		if a.cfg.OnVicinityAlert != nil {
-			a.cfg.OnVicinityAlert(al)
 		}
 	}
 	return alerts

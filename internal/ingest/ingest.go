@@ -10,7 +10,7 @@
 //     Prometheus text exposition or JSONL, gzip-aware, size-limited),
 //     plus Scraper, a poller that pulls /metrics from a target list on
 //     an interval. Both read their body once, bounded, as a string
-//     (readLimited) and feed a shared Decoder that remembers each node's
+//     (ReadLimited) and feed a shared Decoder that remembers each node's
 //     metric layout and turns wire samples into Sink calls.
 //   - ShardRouter: consistently hashes node names onto N bounded worker
 //     queues, each drained by one goroutine, with an explicit

@@ -12,10 +12,15 @@ import (
 	"nodesentry/internal/obs"
 )
 
+// DefaultMaxBodyBytes is the default bound on one body the serving tiers
+// read: a push, a scrape, or a peer's control-plane or fan-in response.
+const DefaultMaxBodyBytes = 8 << 20
+
 // IntakeConfig parameterizes the push endpoint.
 type IntakeConfig struct {
 	// MaxBodyBytes caps a request body, before and after gzip
-	// decompression (default 8 MiB). Oversized requests get 413.
+	// decompression (default DefaultMaxBodyBytes). Oversized requests get
+	// 413.
 	MaxBodyBytes int64
 	// Metrics, when non-nil, receives request/byte counters.
 	Metrics *obs.Registry
@@ -25,7 +30,7 @@ type IntakeConfig struct {
 
 func (c IntakeConfig) withDefaults() IntakeConfig {
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
+		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	return c
 }
@@ -105,11 +110,12 @@ func (in *Intake) handlePush(w http.ResponseWriter, r *http.Request) {
 // scraped — that ran past its limit.
 var errBodyTooLarge = errors.New("ingest: body exceeds limit")
 
-// readLimited reads src to its end as a string — the form both decoders
+// ReadLimited reads src to its end as a string — the form both decoders
 // take, so the body is never copied again — and fails, never truncates,
-// once src yields more than limit bytes. Intake and Scraper both bound
-// their bodies here.
-func readLimited(src io.Reader, limit int64) (string, error) {
+// once src yields more than limit bytes; it never reads more than limit+1.
+// Intake, Scraper and the coordinator tier's peer reads all bound their
+// bodies here.
+func ReadLimited(src io.Reader, limit int64) (string, error) {
 	var b strings.Builder
 	n, err := io.Copy(&b, io.LimitReader(src, limit+1))
 	if err != nil {
@@ -134,7 +140,7 @@ func (in *Intake) readBody(w http.ResponseWriter, r *http.Request) (string, erro
 		defer func() { _ = gz.Close() }() // body fully consumed below; close error is inert
 		src = gz
 	}
-	return readLimited(src, in.cfg.MaxBodyBytes)
+	return ReadLimited(src, in.cfg.MaxBodyBytes)
 }
 
 // isJSONL sniffs the batch format: an explicit JSON content type wins,

@@ -18,8 +18,8 @@ type ScrapeConfig struct {
 	Interval time.Duration
 	// Timeout bounds one target fetch (default 5 s).
 	Timeout time.Duration
-	// MaxBodyBytes caps one scrape body (default 8 MiB). A larger body
-	// fails the scrape; its prefix is never decoded.
+	// MaxBodyBytes caps one scrape body (default DefaultMaxBodyBytes). A
+	// larger body fails the scrape; its prefix is never decoded.
 	MaxBodyBytes int64
 	// Client defaults to http.DefaultClient with Timeout applied per
 	// request via context.
@@ -38,7 +38,7 @@ func (c ScrapeConfig) withDefaults() ScrapeConfig {
 		c.Timeout = 5 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
+		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
@@ -124,7 +124,7 @@ func (s *Scraper) scrape(ctx context.Context, target string) (int, error) {
 	if resp.StatusCode >= 300 {
 		return 0, fmt.Errorf("ingest: scrape %s returned %s", target, resp.Status)
 	}
-	body, err := readLimited(resp.Body, s.cfg.MaxBodyBytes)
+	body, err := ReadLimited(resp.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return 0, err
 	}

@@ -43,13 +43,11 @@ type nodeBuf struct {
 // and whose spans exclude anyway) plus the covering job spans, so the
 // background retrainer re-runs the exact offline pipeline on recent data.
 type Buffer struct {
-	mu      sync.Mutex
-	step    int64
-	budget  int64
-	maxSegs int
-	maxGap  int64 // widest inter-segment gap TrainInput bridges, in seconds
-	bytes   int64
-	nodes   map[string]*nodeBuf
+	mu     sync.Mutex
+	step   int64
+	maxGap int64 // widest inter-segment gap TrainInput bridges, in seconds
+	bytes  int64
+	nodes  map[string]*nodeBuf
 
 	bytesG  *obs.Gauge
 	segsG   *obs.Gauge
@@ -58,15 +56,13 @@ type Buffer struct {
 	gapSkip *obs.Counter
 }
 
-// NewBuffer builds a buffer with the config's byte budget, per-node segment
-// cap, and sampling step.
+// NewBuffer builds a buffer with the config's sampling step, under the
+// bufferBytes budget and the maxSegmentsPerNode cap.
 func NewBuffer(cfg Config, reg *obs.Registry) *Buffer {
 	cfg = cfg.withDefaults()
 	return &Buffer{
 		step:    cfg.Step,
-		budget:  cfg.BufferBytes,
-		maxSegs: cfg.MaxSegmentsPerNode,
-		maxGap:  int64(cfg.MaxGapSteps) * cfg.Step,
+		maxGap:  maxGapSteps * cfg.Step,
 		nodes:   map[string]*nodeBuf{},
 		bytesG:  reg.Gauge("nodesentry_lifecycle_buffer_bytes"),
 		segsG:   reg.Gauge("nodesentry_lifecycle_buffer_segments"),
@@ -136,7 +132,7 @@ func (b *Buffer) closeOpen(nb *nodeBuf) {
 	}
 	nb.done = append(nb.done, nb.open)
 	nb.open = nil
-	for len(nb.done) > b.maxSegs {
+	for len(nb.done) > maxSegmentsPerNode {
 		b.bytes -= nb.done[0].bytes()
 		nb.done = nb.done[1:]
 		b.evicted.Inc()
@@ -146,7 +142,7 @@ func (b *Buffer) closeOpen(nb *nodeBuf) {
 // enforceBudget evicts globally oldest closed segments (then oldest open
 // ones) until the byte budget holds. Callers hold b.mu.
 func (b *Buffer) enforceBudget() {
-	for b.bytes > b.budget {
+	for b.bytes > bufferBytes {
 		var victim *nodeBuf
 		oldest := int64(math.MaxInt64)
 		closedAvail := false
@@ -251,8 +247,8 @@ func (b *Buffer) TrainInput(groups map[string][]int) core.TrainInput {
 		// sort so the gap walk below sees chronological neighbours.
 		sort.Slice(segs, func(i, j int) bool { return segs[i].firstTs < segs[j].firstTs })
 		// Keep only the newest run of segments whose pairwise gaps fit
-		// MaxGapSteps: gap cells are NaN-filled into the frame at full metric
-		// width but never charged to BufferBytes, so an unbounded gap (a node
+		// maxGapSteps: gap cells are NaN-filled into the frame at full metric
+		// width but never charged to bufferBytes, so an unbounded gap (a node
 		// returning after a long outage) would materialize a frame far past
 		// the budget.
 		cut := 0

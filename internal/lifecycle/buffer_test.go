@@ -1,16 +1,15 @@
 package lifecycle
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
-func bufCfg(budget int64, maxSegs int) Config {
-	return Config{Step: 60, BufferBytes: budget, MaxSegmentsPerNode: maxSegs}
-}
+var bufCfg = Config{Step: 60}
 
 func TestBufferSegmentsOnJobChangeAndGap(t *testing.T) {
-	b := NewBuffer(bufCfg(1<<20, 16), nil)
+	b := NewBuffer(bufCfg, nil)
 	b.RegisterNode("n", []string{"a", "b"})
 	b.ObserveJob("n", 1, 0)
 	b.Ingest("n", 0, []float64{1, 2})
@@ -55,19 +54,29 @@ func TestBufferSegmentsOnJobChangeAndGap(t *testing.T) {
 }
 
 func TestBufferByteBudgetEviction(t *testing.T) {
-	// Two metrics -> 16 bytes per row; budget of 64 holds 4 rows.
-	b := NewBuffer(bufCfg(64, 16), nil)
-	b.RegisterNode("n", []string{"a", "b"})
-	for i := 0; i < 10; i++ {
+	// 4096 metrics -> 32 KiB per row; the budget holds budgetRows rows, and
+	// the stream carries two and a half budgets in short job segments.
+	const width = 4096
+	const budgetRows = bufferBytes / (width * 8)
+	const rows = budgetRows*5/2 + 1
+	metrics := make([]string, width)
+	for i := range metrics {
+		metrics[i] = fmt.Sprintf("m%d", i)
+	}
+	b := NewBuffer(bufCfg, nil)
+	b.RegisterNode("n", metrics)
+	row := make([]float64, width)
+	for i := 0; i < rows; i++ {
 		ts := int64(i) * 60
-		if i%2 == 0 {
+		if i%(budgetRows/8) == 0 {
 			b.ObserveJob("n", int64(i), ts)
 		}
-		b.Ingest("n", ts, []float64{float64(i), float64(i)})
+		row[0] = float64(i)
+		b.Ingest("n", ts, row)
 	}
 	bytes, segs, _ := b.Stats()
-	if bytes > 64 {
-		t.Fatalf("buffer holds %d bytes, budget is 64", bytes)
+	if bytes > bufferBytes {
+		t.Fatalf("buffer holds %d bytes, budget is %d", bytes, bufferBytes)
 	}
 	if segs == 0 {
 		t.Fatal("eviction must leave the newest data, not empty the buffer")
@@ -75,40 +84,38 @@ func TestBufferByteBudgetEviction(t *testing.T) {
 	// The survivors are the newest rows: the frame must cover the last ts.
 	in := b.TrainInput(nil)
 	f := in.Frames["n"]
-	if f == nil || f.Start+int64(f.Len()-1)*60 != 540 {
-		t.Fatalf("newest sample lost: frame %+v", f)
+	if f == nil || f.Start+int64(f.Len()-1)*60 != (rows-1)*60 || f.Data[0][f.Len()-1] != rows-1 {
+		t.Fatal("newest sample lost")
 	}
 }
 
 func TestBufferPerNodeSegmentCap(t *testing.T) {
-	b := NewBuffer(bufCfg(1<<20, 2), nil)
+	b := NewBuffer(bufCfg, nil)
 	b.RegisterNode("n", []string{"a"})
-	for seg := 0; seg < 4; seg++ {
+	for seg := 0; seg < maxSegmentsPerNode+2; seg++ {
 		start := int64(seg) * 600
 		b.ObserveJob("n", int64(seg), start)
 		b.Ingest("n", start, []float64{1})
 		b.Ingest("n", start+60, []float64{2})
 	}
-	b.ObserveJob("n", 99, 4000) // close the last open segment
+	b.ObserveJob("n", 99, 600*(maxSegmentsPerNode+2)) // close the last open segment
 	_, segs, _ := b.Stats()
-	if segs != 2 {
-		t.Fatalf("per-node cap of 2 left %d segments", segs)
+	if segs != maxSegmentsPerNode {
+		t.Fatalf("per-node cap of %d left %d segments", maxSegmentsPerNode, segs)
 	}
 }
 
 // TestBufferGapBoundCapsTrainInput pins TrainInput's memory contract: a node
-// resuming after an outage far wider than MaxGapSteps must not have the gap
-// NaN-bridged into the frame (the fill is never charged to BufferBytes), so
+// resuming after an outage far wider than maxGapSteps must not have the gap
+// NaN-bridged into the frame (the fill is never charged to bufferBytes), so
 // only the post-outage run is materialized.
 func TestBufferGapBoundCapsTrainInput(t *testing.T) {
-	cfg := bufCfg(1<<20, 16)
-	cfg.MaxGapSteps = 10
-	b := NewBuffer(cfg, nil)
+	b := NewBuffer(bufCfg, nil)
 	b.RegisterNode("n", []string{"a"})
 	b.ObserveJob("n", 1, 0)
 	b.Ingest("n", 0, []float64{1})
 	b.Ingest("n", 60, []float64{2})
-	// The node goes dark for 10000 steps, far past the 10-step gap bound.
+	// The node goes dark for 10000 steps, far past the maxGapSteps bound.
 	const resume = 600000
 	b.Ingest("n", resume, []float64{3})
 	b.Ingest("n", resume+60, []float64{4})
@@ -128,7 +135,7 @@ func TestBufferGapBoundCapsTrainInput(t *testing.T) {
 }
 
 func TestBufferIgnoresUnregisteredNode(t *testing.T) {
-	b := NewBuffer(bufCfg(1<<20, 16), nil)
+	b := NewBuffer(bufCfg, nil)
 	b.Ingest("ghost", 0, []float64{1, 2, 3})
 	bytes, segs, _ := b.Stats()
 	if bytes != 0 || segs != 0 {
@@ -140,7 +147,7 @@ func TestBufferIgnoresUnregisteredNode(t *testing.T) {
 }
 
 func TestBufferLayoutsAndJobs(t *testing.T) {
-	b := NewBuffer(bufCfg(1<<20, 16), nil)
+	b := NewBuffer(bufCfg, nil)
 	b.RegisterNode("n", []string{"a", "b"})
 	b.ObserveJob("n", 42, 600)
 	lay := b.Layouts()

@@ -32,6 +32,30 @@ import (
 	"nodesentry/internal/obs"
 )
 
+// The lifecycle's fixed bounds.
+const (
+	// bufferBytes caps the rolling retrain buffer.
+	bufferBytes = 32 << 20
+	// maxSegmentsPerNode caps how many closed job segments the buffer
+	// retains per node.
+	maxSegmentsPerNode = 16
+	// maxGapSteps bounds the inter-segment gap, in sampling steps, that
+	// TrainInput will bridge with NaN fill. Gap cells cost frame memory like
+	// real samples but are never charged to bufferBytes, so a node resuming
+	// after a long outage could otherwise materialize a frame orders of
+	// magnitude past the budget; segments older than an oversized gap are
+	// left out of the retrain corpus instead.
+	maxGapSteps = 120
+
+	// maxAlertRatio bounds candidate alerts to this multiple of the
+	// incumbent's over the shadow period, plus Config.AlertSlack.
+	maxAlertRatio = 2
+	// p50Band bounds the candidate's median normalized score to
+	// [1/p50Band, p50Band]: a healthy calibrated model scores near 1 on
+	// in-distribution traffic.
+	p50Band = 3
+)
+
 // Config parameterizes the lifecycle Manager.
 type Config struct {
 	// DriftThreshold is the multiple of the training-time baseline at
@@ -45,19 +69,6 @@ type Config struct {
 	// MinDriftSamples is the minimum number of observations a cluster's
 	// sketch needs before it may vote for drift (default 64).
 	MinDriftSamples int
-
-	// BufferBytes caps the rolling retrain buffer (default 32 MiB).
-	BufferBytes int64
-	// MaxSegmentsPerNode caps how many closed job segments the buffer
-	// retains per node (default 16).
-	MaxSegmentsPerNode int
-	// MaxGapSteps bounds the inter-segment gap, in sampling steps, that
-	// TrainInput will bridge with NaN fill (default 120). Gap cells cost
-	// frame memory like real samples but are never charged to BufferBytes,
-	// so a node resuming after a long outage could otherwise materialize a
-	// frame orders of magnitude past the budget; segments older than an
-	// oversized gap are left out of the retrain corpus instead.
-	MaxGapSteps int
 
 	// CheckInterval is the cadence of drift evaluation and shadow-gate
 	// checks in Run (default 30 s).
@@ -77,19 +88,12 @@ type Config struct {
 	// MinShadowWindows is how many windows the candidate must score before
 	// the promotion gate may decide (default 8).
 	MinShadowWindows int64
-	// MaxAlertRatio bounds candidate alerts to this multiple of the
-	// incumbent's over the shadow period, plus AlertSlack (default 2.0).
-	MaxAlertRatio float64
-	// AlertSlack is the absolute allowance on top of MaxAlertRatio
+	// AlertSlack is the absolute allowance on top of maxAlertRatio
 	// (default 5), so a near-silent incumbent doesn't make the gate
 	// unpassable.
 	AlertSlack int64
-	// P50Band bounds the candidate's median normalized score to
-	// [1/P50Band, P50Band] (default 3): a healthy calibrated model scores
-	// near 1 on in-distribution traffic.
-	P50Band float64
 	// ImprovementFactor is the relative escape hatch of the score gate
-	// (default 0.5): a candidate whose median falls outside P50Band is
+	// (default 0.5): a candidate whose median falls outside p50Band is
 	// still promotable when it is at most this fraction of the incumbent's
 	// median over the same shadow stream. Generalization gap inflates
 	// absolute medians on held-out traffic for incumbent and candidate
@@ -123,29 +127,14 @@ func (c Config) withDefaults() Config {
 	if c.MinDriftSamples <= 0 {
 		c.MinDriftSamples = 64
 	}
-	if c.BufferBytes <= 0 {
-		c.BufferBytes = 32 << 20
-	}
-	if c.MaxSegmentsPerNode <= 0 {
-		c.MaxSegmentsPerNode = 16
-	}
-	if c.MaxGapSteps <= 0 {
-		c.MaxGapSteps = 120
-	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = 30 * time.Second
 	}
 	if c.MinShadowWindows <= 0 {
 		c.MinShadowWindows = 8
 	}
-	if c.MaxAlertRatio <= 0 {
-		c.MaxAlertRatio = 2
-	}
 	if c.AlertSlack <= 0 {
 		c.AlertSlack = 5
-	}
-	if c.P50Band <= 0 {
-		c.P50Band = 3
 	}
 	if c.ImprovementFactor <= 0 {
 		c.ImprovementFactor = 0.5

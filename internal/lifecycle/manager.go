@@ -418,7 +418,7 @@ func (m *Manager) gate(sh *shadowRun, dec Decision) (bool, string) {
 	if nf := sh.nonFinite.Load(); nf > 0 {
 		return false, fmt.Sprintf("candidate produced %d non-finite scores", nf)
 	}
-	inBand := dec.CandP50 >= 1/m.cfg.P50Band && dec.CandP50 <= m.cfg.P50Band
+	inBand := dec.CandP50 >= 1.0/p50Band && dec.CandP50 <= p50Band
 	if !inBand {
 		// Generalization gap inflates held-out medians for both models, so
 		// outside the absolute band the comparison turns relative: promote
@@ -426,11 +426,11 @@ func (m *Manager) gate(sh *shadowRun, dec Decision) (bool, string) {
 		if math.IsNaN(dec.IncP50) || dec.CandP50 > m.cfg.ImprovementFactor*dec.IncP50 {
 			return false, fmt.Sprintf(
 				"candidate score p50 %.3f outside [%.3f, %.3f] and not under %.0f%% of incumbent p50 %.3f",
-				dec.CandP50, 1/m.cfg.P50Band, m.cfg.P50Band,
+				dec.CandP50, 1.0/p50Band, float64(p50Band),
 				100*m.cfg.ImprovementFactor, dec.IncP50)
 		}
 	}
-	limit := int64(m.cfg.MaxAlertRatio*float64(dec.IncAlerts)) + m.cfg.AlertSlack
+	limit := maxAlertRatio*dec.IncAlerts + m.cfg.AlertSlack
 	if dec.CandAlerts > limit {
 		return false, fmt.Sprintf("candidate raised %d alerts vs incumbent %d (limit %d)",
 			dec.CandAlerts, dec.IncAlerts, limit)

@@ -158,59 +158,76 @@ func TestLifecyclePromotesOnDrift(t *testing.T) {
 	}
 }
 
-// TestLifecycleRejectsBadCandidate pins the other half of the gate: a
-// candidate that scores the shifted stream as badly as the incumbent (here:
-// a clone of it) must be rejected, recorded, and the incumbent left
-// serving, unswapped.
+// TestLifecycleRejectsBadCandidate pins the other half of the gate, once
+// through each of its checks: a candidate that scores the shifted stream
+// as badly as the incumbent (a clone of it) fails the score band, and a
+// clone with a hair-trigger threshold fails the alert ratio on the
+// in-distribution stream its score median passes on. Either must be
+// rejected, recorded, and the incumbent left serving, unswapped.
 func TestLifecycleRejectsBadCandidate(t *testing.T) {
 	ds, det := fixture(t)
-	// A tight band makes the shifted-score rejection deterministic: the
-	// clone can never beat the incumbent's own p50 by the default 2x either.
-	mon, mgr, store, sink, v1 := newManagerUnderTest(t, nil, func(c *Config) { c.P50Band = 1.5 })
+	for _, tc := range []struct {
+		name     string
+		from, to int64
+		scale    float64
+		kSigma   float64 // candidate's threshold multiplier; 0 keeps the clone's
+		reason   string
+	}{
+		{"clone on shifted stream", ds.SplitTime(), ds.Horizon, shiftScale, 0, "score p50"},
+		// The training split is where a normalized score's median sits
+		// near 1, inside the band.
+		{"hair-trigger clone", 0, ds.SplitTime(), 1, 1e-6, "alerts vs incumbent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mon, mgr, store, sink, v1 := newManagerUnderTest(t, nil, nil)
 
-	mid := (ds.SplitTime() + ds.Horizon) / 2
-	feed(sink, ds, ds.SplitTime(), mid, shiftScale)
+			mid := (tc.from + tc.to) / 2
+			mid -= mid % ds.Step
+			feed(sink, ds, tc.from, mid, tc.scale)
 
-	cand, err := det.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := store.SaveVersion(cand, "bad-candidate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.StartShadow(cand, v2); err != nil {
-		t.Fatal(err)
-	}
-	feed(sink, ds, mid, ds.Horizon, shiftScale)
-
-	dec, decided := mgr.DecideShadow(true)
-	if !decided {
-		t.Fatal("DecideShadow(force) did not decide")
-	}
-	if dec.Promoted {
-		t.Fatalf("incumbent clone passed the gate under shifted traffic: %+v", dec)
-	}
-	if dec.Reason == "" {
-		t.Fatal("rejection must carry a reason")
-	}
-	t.Logf("rejected: %s", dec.Reason)
-
-	if got := mon.Epoch(); got != 1 {
-		t.Fatalf("monitor epoch = %d after a rejection, want 1 (no swap)", got)
-	}
-	if act, ok := store.Active(); !ok || act.ID != v1.ID {
-		t.Fatalf("registry active = %+v, want incumbent %s", act, v1.ID)
-	}
-	for _, rec := range store.Versions() {
-		if rec.ID == v2.ID {
-			if rec.Status != StatusRejected || rec.Reason == "" {
-				t.Fatalf("rejected candidate record = %+v", rec)
+			cand, err := det.Clone()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			cand.SetOnlineParams(0, 0, tc.kSigma)
+			v2, err := store.SaveVersion(cand, "bad-candidate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.StartShadow(cand, v2); err != nil {
+				t.Fatal(err)
+			}
+			feed(sink, ds, mid, tc.to, tc.scale)
+
+			dec, decided := mgr.DecideShadow(true)
+			if !decided {
+				t.Fatal("DecideShadow(force) did not decide")
+			}
+			if dec.Promoted {
+				t.Fatalf("bad candidate passed the gate: %+v", dec)
+			}
+			if !strings.Contains(dec.Reason, tc.reason) {
+				t.Fatalf("rejection reason %q, want the %q check", dec.Reason, tc.reason)
+			}
+			t.Logf("rejected: %s", dec.Reason)
+
+			if got := mon.Epoch(); got != 1 {
+				t.Fatalf("monitor epoch = %d after a rejection, want 1 (no swap)", got)
+			}
+			if act, ok := store.Active(); !ok || act.ID != v1.ID {
+				t.Fatalf("registry active = %+v, want incumbent %s", act, v1.ID)
+			}
+			for _, rec := range store.Versions() {
+				if rec.ID == v2.ID {
+					if rec.Status != StatusRejected || rec.Reason == "" {
+						t.Fatalf("rejected candidate record = %+v", rec)
+					}
+				}
+			}
+			// The incumbent still serves: more traffic flows without incident.
+			feed(sink, ds, ds.SplitTime(), ds.SplitTime()+10*ds.Step, 1)
+		})
 	}
-	// The incumbent still serves: more traffic flows without incident.
-	feed(sink, ds, ds.SplitTime(), ds.SplitTime()+10*ds.Step, 1)
 }
 
 // TestActivationFailureRestoresIncumbent pins the promotion path's

@@ -47,13 +47,13 @@ type Incident struct {
 	Severity float64 `json:"severity"`
 	Priority int     `json:"priority"`
 	// ConstantTags is the shared context; VaryingTags the distinct values
-	// per varying key (each list capped at MemberCap, sorted).
+	// per varying key (each list capped at memberCap, sorted).
 	ConstantTags map[string]string   `json:"constant_tags"`
 	VaryingTags  map[string][]string `json:"varying_tags"`
 	// Dimension is the varying key the incident spans (usually "node");
 	// its VaryingTags entry is the member list.
 	Dimension string `json:"dimension"`
-	// Truncated is set when a member list hit MemberCap and further
+	// Truncated is set when a member list hit memberCap and further
 	// distinct values were counted but not retained.
 	Truncated bool `json:"truncated,omitempty"`
 }
@@ -68,7 +68,7 @@ type incState struct {
 
 type incKey struct {
 	seen   map[string]struct{}
-	values []string // retained distinct values (≤ MemberCap)
+	values []string // retained distinct values (≤ memberCap)
 	count  int      // events carrying this key
 	extra  int      // distinct values beyond the cap (counted, not kept)
 }
@@ -96,6 +96,20 @@ type Stats struct {
 // event). The compression ratio is Observed/Emissions.
 func (s Stats) Emissions() int64 { return s.Opened + s.Resolved + s.Raw }
 
+// The summarizer's fixed bounds.
+const (
+	// memberCap bounds the retained distinct values per varying key of one
+	// incident; beyond it values are counted as extra and the incident is
+	// marked Truncated.
+	memberCap = 64
+	// maxOpen bounds the live incident set; batches that would exceed it
+	// emit raw.
+	maxOpen = 128
+	// resolvedKeep bounds the recently-resolved list served next to the
+	// open set.
+	resolvedKeep = 64
+)
+
 // Config parameterizes a Summarizer.
 type Config struct {
 	// Window is the batching horizon: Run flushes the pending ring every
@@ -108,21 +122,11 @@ type Config struct {
 	// incident (default 3); smaller groups emit raw unless an incident
 	// for the family is already open.
 	MinGroup int
-	// MemberCap bounds the retained distinct values per varying key of
-	// one incident (default 64); beyond it values are counted as extra
-	// and the incident is marked Truncated.
-	MemberCap int
 	// PendingCap bounds the pending-event ring between flushes (default
 	// 4096). When full, Observe spills the oldest semantics-free: the
 	// incoming event is emitted raw immediately, keeping the accounting
 	// exact instead of blocking the alert consumer.
 	PendingCap int
-	// MaxOpen bounds the live incident set (default 128); batches that
-	// would exceed it emit raw.
-	MaxOpen int
-	// ResolvedKeep bounds the recently-resolved list served next to the
-	// open set (default 64).
-	ResolvedKeep int
 
 	// OnIncident, when non-nil, observes every lifecycle transition with
 	// an incident snapshot (safe to retain). OnRaw observes every event
@@ -149,17 +153,8 @@ func (c Config) withDefaults() Config {
 	if c.MinGroup <= 0 {
 		c.MinGroup = 3
 	}
-	if c.MemberCap <= 0 {
-		c.MemberCap = 64
-	}
 	if c.PendingCap <= 0 {
 		c.PendingCap = 4096
-	}
-	if c.MaxOpen <= 0 {
-		c.MaxOpen = 128
-	}
-	if c.ResolvedKeep <= 0 {
-		c.ResolvedKeep = 64
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -199,7 +194,7 @@ type Summarizer struct {
 	pend     []Event // preallocated ring
 	head, n  int
 	open     map[string]*incState // metric family → live incident
-	resolved []Incident           // most recent last, ≤ ResolvedKeep
+	resolved []Incident           // most recent last, ≤ resolvedKeep
 	stats    Stats
 	seq      int64
 
@@ -331,7 +326,7 @@ func (s *Summarizer) flush(now time.Time, closing bool) {
 			s.met.folded.Add(int64(len(evs)))
 			s.stats.Updated++
 			ems = append(ems, emission{inc: st.snapshot(), trans: Updated})
-		case len(evs) >= s.cfg.MinGroup && len(s.open) < s.cfg.MaxOpen:
+		case len(evs) >= s.cfg.MinGroup && len(s.open) < maxOpen:
 			s.seq++
 			st = &incState{
 				inc: Incident{
@@ -376,8 +371,8 @@ func (s *Summarizer) flush(now time.Time, closing bool) {
 		s.stats.Resolved++
 		snap := st.snapshot()
 		s.resolved = append(s.resolved, snap)
-		if len(s.resolved) > s.cfg.ResolvedKeep {
-			s.resolved = s.resolved[len(s.resolved)-s.cfg.ResolvedKeep:]
+		if len(s.resolved) > resolvedKeep {
+			s.resolved = s.resolved[len(s.resolved)-resolvedKeep:]
 		}
 		ems = append(ems, emission{inc: snap, trans: Resolved})
 	}
@@ -432,7 +427,7 @@ func (s *Summarizer) foldLocked(st *incState, evs []Event) {
 			if _, dup := ik.seen[v]; dup {
 				continue
 			}
-			if len(ik.values) >= s.cfg.MemberCap {
+			if len(ik.values) >= memberCap {
 				ik.extra++
 				st.inc.Truncated = true
 				continue

@@ -188,14 +188,15 @@ func TestFamiliesClusterSeparately(t *testing.T) {
 	}
 }
 
-// Member lists stay bounded: beyond MemberCap distinct values the
+// Member lists stay bounded: beyond memberCap distinct values the
 // incident is marked truncated, and severity/priority roll up to maxima.
 func TestMemberCapAndRollup(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s := New(Config{MinGroup: 3, MemberCap: 8, Clock: func() time.Time { return now }})
+	s := New(Config{MinGroup: 3, Clock: func() time.Time { return now }})
 	defer s.Close()
-	for i := 0; i < 40; i++ {
-		e := memEvent(1000+int64(i), fmt.Sprintf("cn%02d", i))
+	const alerts = memberCap + 32
+	for i := 0; i < alerts; i++ {
+		e := memEvent(1000+int64(i), fmt.Sprintf("cn%03d", i))
 		e.Severity = float64(i)
 		if i == 17 {
 			e.Priority = 2
@@ -208,14 +209,95 @@ func TestMemberCapAndRollup(t *testing.T) {
 		t.Fatalf("open = %d, want 1", len(snap.Open))
 	}
 	inc := snap.Open[0]
-	if !inc.Truncated || len(inc.VaryingTags["node"]) != 8 {
-		t.Fatalf("truncated=%v members=%d, want true/8", inc.Truncated, len(inc.VaryingTags["node"]))
+	if !inc.Truncated || len(inc.VaryingTags["node"]) != memberCap {
+		t.Fatalf("truncated=%v members=%d, want true/%d", inc.Truncated, len(inc.VaryingTags["node"]), memberCap)
 	}
-	if inc.Severity != 39 || inc.Priority != 2 {
-		t.Fatalf("severity=%v priority=%d, want 39/2", inc.Severity, inc.Priority)
+	if inc.Severity != alerts-1 || inc.Priority != 2 {
+		t.Fatalf("severity=%v priority=%d, want %d/2", inc.Severity, inc.Priority, alerts-1)
 	}
-	if inc.FirstTs != 1000 || inc.LastTs != 1039 {
+	if inc.FirstTs != 1000 || inc.LastTs != 1000+alerts-1 {
 		t.Fatalf("span = [%d,%d]", inc.FirstTs, inc.LastTs)
+	}
+}
+
+// familyEvents returns n same-family events, one per node.
+func familyEvents(family string, n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Ts: 1000, Metric: family, Severity: 1, Tags: map[string]string{"node": fmt.Sprintf("cn%02d", i)}}
+	}
+	return evs
+}
+
+// The live set is bounded: a flush whose groups would open incident number
+// maxOpen+1 delivers that group raw, and the sink still sees exactly
+// Emissions() deliveries.
+func TestMaxOpenSpillsRaw(t *testing.T) {
+	var rec recorder
+	now := time.Unix(1000, 0)
+	cfg := Config{MinGroup: 3, Clock: func() time.Time { return now }}
+	rec.hook(&cfg)
+	s := New(cfg)
+	for f := 0; f <= maxOpen; f++ {
+		for _, e := range familyEvents(fmt.Sprintf("F%03d", f), 3) {
+			s.Observe(e)
+		}
+	}
+	s.Flush(now)
+
+	if n := s.OpenCount(); n != maxOpen {
+		t.Fatalf("open = %d, want the cap %d", n, maxOpen)
+	}
+	st := s.Stats()
+	if st.Opened != maxOpen || st.Raw != 3 || st.Folded != 3*maxOpen {
+		t.Fatalf("stats = %+v, want %d opened, 3 raw", st, maxOpen)
+	}
+	last := fmt.Sprintf("F%03d", maxOpen)
+	rec.mu.Lock()
+	for _, e := range rec.raw {
+		if e.Metric != last {
+			t.Errorf("raw event of family %s, want only the group past the cap (%s)", e.Metric, last)
+		}
+	}
+	deliveries := int64(len(rec.trans) + len(rec.raw))
+	rec.mu.Unlock()
+	if deliveries != st.Emissions() || st.Emissions() != st.Opened+st.Resolved+st.Raw {
+		t.Fatalf("sink saw %d deliveries, Emissions() = %d, stats %+v", deliveries, st.Emissions(), st)
+	}
+
+	s.Close()
+	st = s.Stats()
+	rec.mu.Lock()
+	deliveries = int64(len(rec.trans) + len(rec.raw))
+	rec.mu.Unlock()
+	if st.Resolved != maxOpen || deliveries != st.Emissions() {
+		t.Fatalf("after Close: %d deliveries, stats %+v", deliveries, st)
+	}
+}
+
+// The recently-resolved list keeps the newest resolvedKeep incidents.
+func TestResolvedKeepsNewest(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := New(Config{MinGroup: 3, Clock: func() time.Time { return now }})
+	const families = resolvedKeep + 6
+	for f := 0; f < families; f++ {
+		for _, e := range familyEvents(fmt.Sprintf("F%03d", f), 3) {
+			s.Observe(e)
+		}
+	}
+	s.Flush(now)
+	s.Close() // resolves every family, in family order: inc-000001 first
+
+	res := s.Incidents().Resolved
+	if len(res) != resolvedKeep {
+		t.Fatalf("resolved list holds %d, want %d", len(res), resolvedKeep)
+	}
+	first, newest := fmt.Sprintf("inc-%06d", families-resolvedKeep+1), fmt.Sprintf("inc-%06d", families)
+	if res[0].ID != first || res[len(res)-1].ID != newest {
+		t.Fatalf("resolved list spans %s..%s, want the newest %s..%s", res[0].ID, res[len(res)-1].ID, first, newest)
+	}
+	if st := s.Stats(); st.Resolved != families {
+		t.Fatalf("resolved count = %d, want %d (the cut trims the list, not the accounting)", st.Resolved, families)
 	}
 }
 
