@@ -118,7 +118,10 @@ func (t *tool) runCLI(args []string) error {
 		}
 		return nil
 	case "clusters":
-		cs := t.clusters()
+		cs, err := t.clusters()
+		if err != nil {
+			return err
+		}
 		labels := cs.Labels()
 		fmt.Printf("%d clusters over %d segments (silhouette %.3f, %d adjusted)\n",
 			cs.NumClusters(), len(labels), cs.Silhouette(), cs.Adjusted())
@@ -135,7 +138,10 @@ func (t *tool) runCLI(args []string) error {
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("bad arguments")
 		}
-		cs := t.clusters()
+		cs, err := t.clusters()
+		if err != nil {
+			return err
+		}
 		if err := cs.Move(i, c); err != nil {
 			return err
 		}

@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
+	"io/fs"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"path/filepath"
 	"sync"
 
 	"nodesentry/internal/core"
@@ -43,13 +46,16 @@ func (t *tool) save() error {
 }
 
 // clusters lazily builds the cluster session from the dataset's training
-// split (cleaned frames, job segmentation, feature extraction, HAC).
-// t.mu serializes the build; the returned session locks internally.
-func (t *tool) clusters() *labeling.ClusterSession {
+// split (cleaned frames, job segmentation, feature extraction, HAC) and
+// applies the workdir's cluster_adjust.txt, so moves saved by an earlier
+// run persist; a missing file means a fresh session. A malformed file is
+// an error, and the session is not cached until it loads. t.mu
+// serializes the build; the returned session locks internally.
+func (t *tool) clusters() (*labeling.ClusterSession, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cs != nil {
-		return t.cs
+		return t.cs, nil
 	}
 	frames := map[string]*mts.NodeFrame{}
 	var segs []mts.Segment
@@ -61,8 +67,13 @@ func (t *tool) clusters() *labeling.ClusterSession {
 	}
 	F := features.Matrix(frames, segs)
 	features.NormalizeColumns(F)
-	t.cs = labeling.NewClusterSession(F, segs, 2, 12)
-	return t.cs
+	cs := labeling.NewClusterSession(F, segs, 2, 12)
+	err := cs.LoadAdjustments(filepath.Join(t.workdir, "cluster_adjust.txt"))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	t.cs = cs
+	return cs, nil
 }
 
 // suggest runs the built-in statistical detector (per-metric z-score
@@ -212,7 +223,11 @@ type clustersResponse struct {
 }
 
 func (t *tool) handleClusters(w http.ResponseWriter, r *http.Request) {
-	cs := t.clusters()
+	cs, err := t.clusters()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	labels := cs.Labels()
 	resp := clustersResponse{K: cs.NumClusters(), Silhouette: cs.Silhouette(), Adjusted: cs.Adjusted()}
 	for i, seg := range cs.Segments {
@@ -236,7 +251,11 @@ func (t *tool) handleMove(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cs := t.clusters()
+	cs, err := t.clusters()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	if err := cs.Move(req.Segment, req.Cluster); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

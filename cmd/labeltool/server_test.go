@@ -2,8 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -161,5 +165,79 @@ func TestCLICommands(t *testing.T) {
 		if err := tl.runCLI(bad); err == nil {
 			t.Errorf("CLI %v should fail", bad)
 		}
+	}
+}
+
+// otherCluster returns a cluster segment i is not in.
+func otherCluster(t *testing.T, tl *tool, i int) int {
+	t.Helper()
+	cs, err := tl.clusters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (cs.Labels()[i] + 1) % cs.NumClusters()
+}
+
+// TestMovePersistsAcrossRuns: a move made by one labeltool run is what the
+// next run on the same workdir starts from.
+func TestMovePersistsAcrossRuns(t *testing.T) {
+	first := testTool(t)
+	target := otherCluster(t, first, 0)
+	if err := first.runCLI([]string{"move", "0", strconv.Itoa(target)}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newTool(first.ds, labeling.NewStore(), first.workdir)
+	var resp clustersResponse
+	if rec := get(t, fresh.handleClusters, "/api/clusters", &resp); rec.Code != http.StatusOK {
+		t.Fatalf("clusters: %d %s", rec.Code, rec.Body)
+	}
+	if resp.Adjusted != 1 || resp.Segments[0].Cluster != target {
+		t.Fatalf("fresh run: adjusted=%d segment 0 in cluster %d, want 1 and %d",
+			resp.Adjusted, resp.Segments[0].Cluster, target)
+	}
+}
+
+// TestMovesAccumulateAcrossRuns: two runs that each move one segment both
+// leave their move behind; the second does not overwrite the first.
+func TestMovesAccumulateAcrossRuns(t *testing.T) {
+	first := testTool(t)
+	second := newTool(first.ds, labeling.NewStore(), first.workdir)
+	t0 := otherCluster(t, first, 0)
+	if err := first.runCLI([]string{"move", "0", strconv.Itoa(t0)}); err != nil {
+		t.Fatal(err)
+	}
+	t1 := otherCluster(t, second, 1)
+	var mv map[string]any
+	if rec := post(t, second.handleMove, "/api/move", fmt.Sprintf(`{"segment":1,"cluster":%d}`, t1), &mv); rec.Code != http.StatusOK {
+		t.Fatalf("move: %d %s", rec.Code, rec.Body)
+	}
+	cs, err := newTool(first.ds, labeling.NewStore(), first.workdir).clusters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labels := cs.Labels(); cs.Adjusted() != 2 || labels[0] != t0 || labels[1] != t1 {
+		t.Fatalf("fresh run: adjusted=%d labels[0:2]=%v, want 2 and [%d %d]", cs.Adjusted(), labels[:2], t0, t1)
+	}
+}
+
+// TestMalformedAdjustmentsRejected: a cluster_adjust.txt that does not fit
+// the dataset fails both front ends instead of being applied or ignored.
+func TestMalformedAdjustmentsRejected(t *testing.T) {
+	tl := testTool(t)
+	path := filepath.Join(tl.workdir, "cluster_adjust.txt")
+	if err := os.WriteFile(path, []byte("cn-9999 1 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.runCLI([]string{"clusters"}); err == nil {
+		t.Error("CLI clusters accepted a malformed cluster_adjust.txt")
+	}
+	if err := tl.runCLI([]string{"move", "0", "0"}); err == nil {
+		t.Error("CLI move accepted a malformed cluster_adjust.txt")
+	}
+	if rec := get(t, tl.handleClusters, "/api/clusters", nil); rec.Code != http.StatusInternalServerError {
+		t.Errorf("GET /api/clusters = %d, want 500", rec.Code)
+	}
+	if rec := post(t, tl.handleMove, "/api/move", `{"segment":0,"cluster":0}`, nil); rec.Code != http.StatusInternalServerError {
+		t.Errorf("POST /api/move = %d, want 500", rec.Code)
 	}
 }

@@ -9,96 +9,27 @@ import (
 	"nodesentry"
 )
 
-// The paper's artifact drives its pipeline from a config.yml; this CLI
-// accepts the equivalent as JSON (stdlib-only). Fields mirror
-// nodesentry.Options; absent fields keep the defaults, so a config file
-// only needs the knobs it changes:
+// loadConfig overlays a JSON config file onto the default options. The
+// paper's artifact drives its pipeline from a config.yml; this CLI accepts
+// the equivalent as JSON (stdlib-only). Keys are the json tags of
+// nodesentry.Options; absent keys keep the defaults, so a config file only
+// needs the knobs it changes, and an unknown key is an error:
 //
 //	{
 //	  "epochs": 24,
 //	  "k_sigma": 3,
 //	  "model": {"experts": 3, "top_k": 1}
 //	}
-type fileConfig struct {
-	CorrThreshold  *float64 `json:"corr_threshold"`
-	Trim           *float64 `json:"trim"`
-	Clip           *float64 `json:"clip"`
-	MinSegmentLen  *int     `json:"min_segment_len"`
-	PCADims        *int     `json:"pca_dims"`
-	KMin           *int     `json:"k_min"`
-	KMax           *int     `json:"k_max"`
-	WindowLen      *int     `json:"window_len"`
-	RepSegments    *int     `json:"rep_segments"`
-	Epochs         *int     `json:"epochs"`
-	LR             *float64 `json:"lr"`
-	MaxWindows     *int     `json:"max_windows_per_cluster"`
-	MatchPeriodSec *int64   `json:"match_period_sec"`
-	ThresholdSec   *int64   `json:"threshold_window_sec"`
-	KSigma         *float64 `json:"k_sigma"`
-	MinConsecutive *int     `json:"min_consecutive"`
-	Seed           *int64   `json:"seed"`
-	Model          *struct {
-		ModelDim *int `json:"model_dim"`
-		Heads    *int `json:"heads"`
-		Hidden   *int `json:"hidden"`
-		Blocks   *int `json:"blocks"`
-		Experts  *int `json:"experts"`
-		TopK     *int `json:"top_k"`
-	} `json:"model"`
-}
-
-// loadConfig overlays a JSON config file onto the default options.
 func loadConfig(path string) (nodesentry.Options, error) {
 	opts := nodesentry.DefaultOptions()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return opts, err
 	}
-	var fc fileConfig
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&fc); err != nil {
-		return opts, fmt.Errorf("config %s: %w", path, err)
-	}
-	setF := func(dst *float64, src *float64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setI := func(dst *int, src *int) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setI64 := func(dst *int64, src *int64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setF(&opts.CorrThreshold, fc.CorrThreshold)
-	setF(&opts.Trim, fc.Trim)
-	setF(&opts.Clip, fc.Clip)
-	setI(&opts.MinSegmentLen, fc.MinSegmentLen)
-	setI(&opts.PCADims, fc.PCADims)
-	setI(&opts.KMin, fc.KMin)
-	setI(&opts.KMax, fc.KMax)
-	setI(&opts.WindowLen, fc.WindowLen)
-	setI(&opts.RepSegments, fc.RepSegments)
-	setI(&opts.Epochs, fc.Epochs)
-	setF(&opts.LR, fc.LR)
-	setI(&opts.MaxWindowsPerCluster, fc.MaxWindows)
-	setI64(&opts.MatchPeriodSec, fc.MatchPeriodSec)
-	setI64(&opts.ThresholdWindowSec, fc.ThresholdSec)
-	setF(&opts.KSigma, fc.KSigma)
-	setI(&opts.MinConsecutive, fc.MinConsecutive)
-	setI64(&opts.Seed, fc.Seed)
-	if fc.Model != nil {
-		setI(&opts.Model.ModelDim, fc.Model.ModelDim)
-		setI(&opts.Model.Heads, fc.Model.Heads)
-		setI(&opts.Model.Hidden, fc.Model.Hidden)
-		setI(&opts.Model.Blocks, fc.Model.Blocks)
-		setI(&opts.Model.Experts, fc.Model.Experts)
-		setI(&opts.Model.TopK, fc.Model.TopK)
+	if err := dec.Decode(&opts); err != nil {
+		return nodesentry.DefaultOptions(), fmt.Errorf("config %s: %w", path, err)
 	}
 	return opts, nil
 }

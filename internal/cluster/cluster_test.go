@@ -223,31 +223,6 @@ func TestGMMPruning(t *testing.T) {
 	}
 }
 
-func TestDBSCAN(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	X, truth := blobs(rng, 2, 20, 2, 0.3)
-	labels := DBSCAN(X, 2.5, 3)
-	// Two dense blobs => two clusters, no noise inside blobs.
-	maxL := -1
-	for _, l := range labels {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	if maxL != 1 {
-		t.Fatalf("DBSCAN found %d clusters, want 2 (labels %v)", maxL+1, labels)
-	}
-	if !sameClustering(labels, truth) {
-		t.Error("DBSCAN clusters do not match blobs")
-	}
-	// An isolated point is noise.
-	X2 := mat.FromRows([][]float64{{0}, {0.1}, {0.2}, {0.15}, {100}})
-	l2 := DBSCAN(X2, 0.5, 3)
-	if l2[4] != -1 {
-		t.Errorf("outlier labeled %d, want -1", l2[4])
-	}
-}
-
 func seq(vals ...float64) [][]float64 {
 	out := make([][]float64, len(vals))
 	for i, v := range vals {

@@ -2,9 +2,8 @@
 // Hierarchical Agglomerative Clustering with silhouette-based automatic
 // cluster-count selection (§3.3), plus the algorithms the baselines and the
 // labeling tool need — k-means, an EM Gaussian mixture standing in for the
-// variational BGMM of ISC'20, DBSCAN (DeepHYDRA's coarse stage), and
-// multivariate Dynamic Time Warping (the expensive shape-based alternative
-// the paper rules out in Challenge 1).
+// variational BGMM of ISC'20, and multivariate Dynamic Time Warping (the
+// expensive shape-based alternative the paper rules out in Challenge 1).
 package cluster
 
 import (

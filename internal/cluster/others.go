@@ -253,58 +253,6 @@ func (g *GMM) MahalanobisMin(x []float64) float64 {
 // NumComponents returns the surviving component count.
 func (g *GMM) NumComponents() int { return len(g.Weights) }
 
-// DBSCAN density-clusters the rows of X; the result assigns -1 to noise
-// points and 0..k-1 to cluster members. Used by the DeepHYDRA-style coarse
-// stage of the labeling tool's suggestion engine.
-func DBSCAN(X *mat.Matrix, eps float64, minPts int) []int {
-	n := X.Rows
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = -2 // unvisited
-	}
-	D := PairwiseEuclidean(X)
-	neighbors := func(i int) []int {
-		var out []int
-		row := D.Row(i)
-		for j := 0; j < n; j++ {
-			if j != i && row[j] <= eps {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	cluster := 0
-	for i := 0; i < n; i++ {
-		if labels[i] != -2 {
-			continue
-		}
-		nb := neighbors(i)
-		if len(nb)+1 < minPts {
-			labels[i] = -1
-			continue
-		}
-		labels[i] = cluster
-		queue := append([]int(nil), nb...)
-		for len(queue) > 0 {
-			q := queue[0]
-			queue = queue[1:]
-			if labels[q] == -1 {
-				labels[q] = cluster
-			}
-			if labels[q] != -2 {
-				continue
-			}
-			labels[q] = cluster
-			qnb := neighbors(q)
-			if len(qnb)+1 >= minPts {
-				queue = append(queue, qnb...)
-			}
-		}
-		cluster++
-	}
-	return labels
-}
-
 // DTW computes the multivariate Dynamic Time Warping distance between two
 // sequences a and b (each [T][d], possibly of different lengths) with
 // Euclidean local cost and an optional Sakoe-Chiba band of half-width

@@ -376,6 +376,3 @@ func appendRow(m *mat.Matrix, row []float64) *mat.Matrix {
 	copy(out.Row(m.Rows), row)
 	return out
 }
-
-// SetMinConsecutive overrides the debounce run length (testing hook).
-func (d *Detector) SetMinConsecutive(n int) { d.opts.MinConsecutive = n }

@@ -13,29 +13,6 @@ type LatencyReport struct {
 	Latencies []time.Duration
 }
 
-// Mean returns the average detection latency (0 when nothing detected).
-func (r LatencyReport) Mean() time.Duration {
-	if len(r.Latencies) == 0 {
-		return 0
-	}
-	var s time.Duration
-	for _, l := range r.Latencies {
-		s += l
-	}
-	return s / time.Duration(len(r.Latencies))
-}
-
-// Max returns the worst detection latency (0 when nothing detected).
-func (r LatencyReport) Max() time.Duration {
-	var m time.Duration
-	for _, l := range r.Latencies {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
 // DetectionLatencies walks the label stream's maximal true runs and
 // measures the delay to the first positive prediction inside each, in
 // samples converted through step (seconds per sample). Ignored samples

@@ -237,19 +237,6 @@ func DTWCost(w io.Writer, s Scale) (DTWCostResult, error) {
 	return res, pr.Err()
 }
 
-func clampSegs(segs []mts.Segment, n int) []mts.Segment {
-	var out []mts.Segment
-	for _, s := range segs {
-		if s.Hi > n {
-			s.Hi = n
-		}
-		if s.Hi-s.Lo >= 8 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // IncrementalResult compares incremental training against full retraining
 // (RQ3, §4.5's practical pipeline).
 type IncrementalResult struct {

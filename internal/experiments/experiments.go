@@ -22,7 +22,6 @@ import (
 	"nodesentry/internal/core"
 	"nodesentry/internal/dataset"
 	"nodesentry/internal/eval"
-	"nodesentry/internal/mts"
 )
 
 // Scale selects the experiment size.
@@ -210,9 +209,4 @@ func Table5(w io.Writer, s Scale) ([]AblationRow, error) {
 		}
 	}
 	return rows, rep.Err()
-}
-
-// segmentSpans is a small helper shared by figure experiments.
-func segmentSpans(ds *dataset.Dataset, node string) []mts.JobSpan {
-	return ds.SpansForNode(node, ds.SplitTime(), ds.Horizon)
 }

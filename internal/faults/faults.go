@@ -38,8 +38,7 @@ const (
 )
 
 // GPU-extension fault classes (§5.3); not part of AllTypes so that
-// CPU-only campaigns stay reproducible — select them explicitly or via
-// AllTypesWithGPU.
+// CPU-only campaigns stay reproducible — select them explicitly.
 const (
 	GPUOverload         Type = "gpu-overload"
 	GPUMemoryExhaustion Type = "gpu-memory-exhaustion"
@@ -73,9 +72,6 @@ func AllTypes() []Type {
 func GPUTypes() []Type {
 	return []Type{GPUOverload, GPUMemoryExhaustion, ThermalThrottle}
 }
-
-// AllTypesWithGPU lists every fault class including the GPU extension.
-func AllTypesWithGPU() []Type { return append(AllTypes(), GPUTypes()...) }
 
 // Fault is one planned injection on one node.
 type Fault struct {

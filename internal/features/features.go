@@ -576,8 +576,3 @@ func ApplyNormalization(v, means, stds []float64) {
 		}
 	}
 }
-
-// powerSpectrum adapts the fft helper for the extended spectral features.
-func powerSpectrum(x []float64) ([]float64, float64) {
-	return fft.PowerSpectrum(x)
-}

@@ -1,5 +1,5 @@
-// Package fft implements the discrete Fourier transforms backing the
-// spectral features of the feature extractor: an iterative radix-2
+// Package fft implements the forward discrete Fourier transform backing
+// the spectral features of the feature extractor: an iterative radix-2
 // Cooley-Tukey FFT with zero-padding for arbitrary lengths, a real-input
 // helper, and power-spectrum utilities.
 package fft
@@ -52,22 +52,6 @@ func FFT(x []complex128) []complex128 {
 	return out
 }
 
-// IFFT computes the inverse DFT of x (power-of-two length), normalized by
-// 1/n.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = complex(real(v), -imag(v))
-	}
-	y := FFT(conj)
-	inv := 1 / float64(n)
-	for i, v := range y {
-		y[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
-	return y
-}
-
 // RealFFT zero-pads x to the next power of two and returns the forward DFT
 // of the padded signal together with the padded length.
 func RealFFT(x []float64) ([]complex128, int) {
@@ -96,8 +80,8 @@ func PowerSpectrum(x []float64) ([]float64, float64) {
 	return out, 1 / float64(n)
 }
 
-// DFTNaive computes the forward DFT directly in O(n²); used as a test oracle
-// and for tiny inputs.
+// DFTNaive computes the forward DFT directly in O(n²); the tests use it as
+// the oracle for FFT.
 func DFTNaive(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)

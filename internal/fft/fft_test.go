@@ -43,20 +43,6 @@ func TestFFTPanicsOnNonPow2(t *testing.T) {
 	FFT(make([]complex128, 6))
 }
 
-func TestIFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	y := IFFT(FFT(x))
-	for i := range x {
-		if cmplx.Abs(x[i]-y[i]) > 1e-9 {
-			t.Fatalf("round trip differs at %d: %v vs %v", i, x[i], y[i])
-		}
-	}
-}
-
 func TestFFTLinearityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

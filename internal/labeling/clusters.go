@@ -65,17 +65,18 @@ func (c *ClusterSession) OriginalLabels() []int {
 	return append([]int(nil), c.original...)
 }
 
-// Move reassigns segment i to cluster target; targets beyond the current
-// count create a new cluster. Centroids are implicitly updated (they are
-// derived from labels on demand).
+// Move reassigns segment i to cluster target; target == NumClusters()
+// creates a new cluster. A label is always below the segment count, the
+// bound LoadAdjustments enforces. Centroids are implicitly updated (they
+// are derived from labels on demand).
 func (c *ClusterSession) Move(i, target int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i < 0 || i >= len(c.current) {
 		return fmt.Errorf("labeling: segment %d out of range", i)
 	}
-	if target < 0 || target > c.k {
-		return fmt.Errorf("labeling: cluster %d out of range (0..%d allowed)", target, c.k)
+	if limit := min(c.k, len(c.current)-1); target < 0 || target > limit {
+		return fmt.Errorf("labeling: cluster %d out of range (0..%d allowed)", target, limit)
 	}
 	if target == c.k {
 		c.k++
@@ -136,7 +137,9 @@ func (c *ClusterSession) Save(dir string) error {
 }
 
 // LoadAdjustments applies a previously saved cluster_adjust.txt to the
-// session (matching rows by order).
+// session. Row i must name segment i's node and job, so a file saved from
+// another dataset or segmentation is rejected, and every cluster must be
+// below the segment count. On error the session is unchanged.
 func (c *ClusterSession) LoadAdjustments(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -144,7 +147,10 @@ func (c *ClusterSession) LoadAdjustments(path string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var lines []string
+	if text := strings.TrimSpace(string(data)); text != "" {
+		lines = strings.Split(text, "\n")
+	}
 	if len(lines) != len(c.Segments) {
 		return fmt.Errorf("labeling: %s has %d rows, session has %d segments", path, len(lines), len(c.Segments))
 	}
@@ -155,9 +161,13 @@ func (c *ClusterSession) LoadAdjustments(path string) error {
 		if len(fields) != 3 {
 			return fmt.Errorf("labeling: bad row %q", line)
 		}
+		seg := c.Segments[i]
+		if job, err := strconv.ParseInt(fields[1], 10, 64); err != nil || fields[0] != seg.Node || job != seg.Job {
+			return fmt.Errorf("labeling: row %d is %q, want segment %s job %d", i, line, seg.Node, seg.Job)
+		}
 		l, err := strconv.Atoi(fields[2])
-		if err != nil || l < 0 {
-			return fmt.Errorf("labeling: bad cluster in row %q", line)
+		if err != nil || l < 0 || l >= len(c.Segments) {
+			return fmt.Errorf("labeling: bad cluster in row %q (0..%d allowed)", line, len(c.Segments)-1)
 		}
 		labels[i] = l
 		if l+1 > maxK {

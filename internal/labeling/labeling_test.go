@@ -1,8 +1,12 @@
 package labeling
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"nodesentry/internal/mat"
@@ -178,5 +182,52 @@ func TestClusterSessionSaveLoad(t *testing.T) {
 	orig := cs2.OriginalLabels()
 	if orig[3] == cs2.Labels()[3] {
 		t.Error("adjustment should differ from the original")
+	}
+}
+
+// TestLoadAdjustmentsRejects: a cluster_adjust.txt that does not belong to
+// the session's segments, or names a cluster past the segment count, is
+// an error and leaves the session as it was.
+func TestLoadAdjustmentsRejects(t *testing.T) {
+	F, segs := clusterFixture()
+	saved := NewClusterSession(F, segs, 2, 5)
+	dir := t.TempDir()
+	if err := saved.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, "cluster_adjust.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(string(good)), "\n")
+	withRow := func(i int, row string) string {
+		out := append([]string(nil), rows...)
+		out[i] = row
+		return strings.Join(out, "\n") + "\n"
+	}
+	cases := map[string]string{
+		"other node":          withRow(4, "m 4 0"),
+		"other job":           withRow(4, "n 5 0"),
+		"rows reordered":      withRow(4, rows[5]),
+		"label = segments":    withRow(4, fmt.Sprintf("n 4 %d", len(segs))),
+		"huge label":          withRow(4, "n 4 1000000000"),
+		"negative label":      withRow(4, "n 4 -1"),
+		"missing row":         strings.Join(rows[1:], "\n"),
+		"empty file":          "",
+		"non-numeric cluster": withRow(4, "n 4 x"),
+	}
+	for name, body := range cases {
+		path := filepath.Join(t.TempDir(), "cluster_adjust.txt")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cs := NewClusterSession(F, segs, 2, 5)
+		before, k := cs.Labels(), cs.NumClusters()
+		if err := cs.LoadAdjustments(path); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !slices.Equal(cs.Labels(), before) || cs.NumClusters() != k {
+			t.Errorf("%s: rejected file changed the session", name)
+		}
 	}
 }

@@ -66,11 +66,10 @@ const (
 // K inactive versions, and quarantine of corrupt entries with fallback
 // through the lineage.
 type Store struct {
-	mu     sync.Mutex
-	dir    string
-	keep   int
-	maxAge time.Duration
-	man    manifest
+	mu   sync.Mutex
+	dir  string
+	keep int
+	man  manifest
 }
 
 // OpenStore opens (creating if needed) a registry rooted at dir, retaining
@@ -98,30 +97,6 @@ func OpenStore(dir string, keep int) (*Store, error) {
 
 // Dir returns the registry root.
 func (s *Store) Dir() string { return s.dir }
-
-// SetMaxAge adds an age ceiling to retention: inactive versions older than
-// d are pruned on the next Activate/Reject/GC even when keep-K would have
-// retained them. Zero (the default) disables age-based pruning.
-func (s *Store) SetMaxAge(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxAge = d
-}
-
-// GC applies the retention policy (keep-K and, when configured, max-age)
-// immediately and reports how many manifest records were removed. Dropping
-// a quarantined record never resurrects its payload: the payload already
-// lives under quarantine/, outside any version directory the registry will
-// ever load.
-func (s *Store) GC() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.pruneLocked()
-	if n == 0 {
-		return 0, nil
-	}
-	return n, s.writeManifestLocked()
-}
 
 // ReadPayload returns the raw serialized payload for version id after
 // verifying it against the manifest checksum — the bytes a scorer pulls
@@ -400,49 +375,27 @@ func (s *Store) linkLatestLocked(id string) {
 	_ = os.Rename(tmp, filepath.Join(s.dir, latestName)) // best effort; manifest is authoritative
 }
 
-// pruneLocked deletes inactive versions beyond the retention limits —
-// keep-K of the newest, and (when SetMaxAge configured one) anything past
-// the age ceiling regardless of K — and reports how many records were
-// dropped. Active and candidate versions are never pruned; quarantined
-// payloads already live under quarantine/ and only their records are
-// dropped when they age out, so pruning can never bring one back.
-func (s *Store) pruneLocked() int {
-	type aged struct {
-		idx int
-		at  int64
-	}
-	var inactive []aged
+// pruneLocked deletes the oldest inactive versions beyond keep-K. Active
+// and candidate versions are never pruned; a quarantined payload already
+// lives under quarantine/ and only its record is dropped, so pruning can
+// never bring one back.
+func (s *Store) pruneLocked() {
+	var inactive []int
 	for i, v := range s.man.Versions {
 		switch v.Status {
 		case StatusRetired, StatusRejected, StatusQuarantined:
-			inactive = append(inactive, aged{i, v.CreatedUnix})
+			inactive = append(inactive, i)
 		}
 	}
+	if len(inactive) <= s.keep {
+		return
+	}
+	sort.SliceStable(inactive, func(a, b int) bool {
+		return s.man.Versions[inactive[a]].CreatedUnix < s.man.Versions[inactive[b]].CreatedUnix
+	})
 	drop := map[int]bool{}
-	if s.maxAge > 0 {
-		cutoff := time.Now().Add(-s.maxAge).Unix()
-		for _, a := range inactive {
-			if a.at < cutoff {
-				drop[a.idx] = true
-			}
-		}
-	}
-	if n := len(inactive) - len(drop); n > s.keep {
-		sort.Slice(inactive, func(i, j int) bool { return inactive[i].at < inactive[j].at })
-		for _, a := range inactive {
-			if n <= s.keep {
-				break
-			}
-			if !drop[a.idx] {
-				drop[a.idx] = true
-				n--
-			}
-		}
-	}
-	if len(drop) == 0 {
-		return 0
-	}
-	for idx := range drop {
+	for _, idx := range inactive[:len(inactive)-s.keep] {
+		drop[idx] = true
 		_ = os.RemoveAll(filepath.Join(s.dir, s.man.Versions[idx].ID)) // retention cleanup; dir may be gone
 	}
 	kept := s.man.Versions[:0]
@@ -452,7 +405,6 @@ func (s *Store) pruneLocked() int {
 		}
 	}
 	s.man.Versions = kept
-	return len(drop)
 }
 
 func (s *Store) writeManifestLocked() error {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestStoreSaveActivateLoadRoundTrip(t *testing.T) {
@@ -226,67 +225,13 @@ func TestStoreRejectAndErrors(t *testing.T) {
 	}
 }
 
-// backdate rewrites a version's creation time, simulating age without
-// sleeping (white-box: tests live in the package).
-func backdate(s *Store, id string, age time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx := s.indexLocked(id); idx >= 0 {
-		s.man.Versions[idx].CreatedUnix = time.Now().Add(-age).Unix()
-	}
-}
-
-func TestStoreGCByAge(t *testing.T) {
-	_, det := fixture(t)
-	dir := t.TempDir()
-	s, _ := OpenStore(dir, 10) // keep-K alone would retain everything
-	s.SetMaxAge(time.Hour)
-
-	v1, _ := s.SaveVersion(det, "initial")
-	_ = s.Activate(v1.ID)
-	v2, _ := s.SaveVersion(det, "retrain")
-	_ = s.Activate(v2.ID) // v1 now retired
-	v3, _ := s.SaveVersion(det, "retrain")
-	_ = s.Activate(v3.ID) // v2 now retired
-
-	// v1 is ancient, v2 fresh: only v1 crosses the age ceiling. The
-	// active version is backdated too — age must never prune it.
-	backdate(s, v1.ID, 48*time.Hour)
-	backdate(s, v3.ID, 48*time.Hour)
-	n, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("GC removed %d records, want 1 (only %s aged out)", n, v1.ID)
-	}
-	left := map[string]string{}
-	for _, rec := range s.Versions() {
-		left[rec.ID] = rec.Status
-	}
-	if _, ok := left[v1.ID]; ok {
-		t.Fatalf("aged-out %s survives GC", v1.ID)
-	}
-	if left[v3.ID] != StatusActive {
-		t.Fatalf("active version pruned by age: %v", left)
-	}
-	if _, ok := left[v2.ID]; !ok {
-		t.Fatalf("fresh retired %s pruned: %v", v2.ID, left)
-	}
-	if _, err := os.Stat(filepath.Join(dir, v1.ID)); err == nil {
-		t.Fatalf("aged-out payload dir %s still on disk", v1.ID)
-	}
-	// A second GC is a no-op and must not rewrite the manifest.
-	if n, err := s.GC(); err != nil || n != 0 {
-		t.Fatalf("idempotent GC removed %d, err %v", n, err)
-	}
-}
-
+// TestStoreGCNeverResurrectsQuarantined: retention pruning on Activate
+// drops a quarantined version's record once it falls outside keep-K, and
+// the payload stays under quarantine/ where nothing loads it.
 func TestStoreGCNeverResurrectsQuarantined(t *testing.T) {
 	_, det := fixture(t)
 	dir := t.TempDir()
-	s, _ := OpenStore(dir, 10)
-	s.SetMaxAge(time.Hour)
+	s, _ := OpenStore(dir, 1)
 
 	v1, _ := s.SaveVersion(det, "initial")
 	_ = s.Activate(v1.ID)
@@ -295,23 +240,33 @@ func TestStoreGCNeverResurrectsQuarantined(t *testing.T) {
 	if err := s.Quarantine(v1.ID, "operator flag"); err != nil {
 		t.Fatal(err)
 	}
-	backdate(s, v1.ID, 48*time.Hour)
-	if n, err := s.GC(); err != nil || n != 1 {
-		t.Fatalf("GC = %d, %v; want the aged quarantined record dropped", n, err)
+	for _, rec := range s.Versions() {
+		if rec.ID == v1.ID && rec.Status != StatusQuarantined {
+			t.Fatalf("%s = %+v before pruning, want quarantined", v1.ID, rec)
+		}
+	}
+	v3, _ := s.SaveVersion(det, "retrain")
+	if err := s.Activate(v3.ID); err != nil { // v2 retires: two inactive, keep 1
+		t.Fatal(err)
+	}
+	for _, rec := range s.Versions() {
+		if rec.ID == v1.ID {
+			t.Fatalf("quarantined %s outside keep-K survives pruning: %+v", v1.ID, rec)
+		}
 	}
 	// The record is gone, but the payload stays under quarantine/ — and
 	// nothing the registry does can load it again.
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", v1.ID)); err != nil {
-		t.Fatalf("quarantined payload lost by GC: %v", err)
+		t.Fatalf("quarantined payload lost by pruning: %v", err)
 	}
 	if _, _, err := s.ReadPayload(v1.ID); err == nil {
-		t.Fatal("GC-dropped quarantined version must stay unreadable")
+		t.Fatal("pruned quarantined version must stay unreadable")
 	}
 	if err := s.Activate(v1.ID); err == nil {
-		t.Fatal("GC-dropped quarantined version must not be activatable")
+		t.Fatal("pruned quarantined version must not be activatable")
 	}
 	// A reopen sees the same world: no resurrected record.
-	s2, err := OpenStore(dir, 10)
+	s2, err := OpenStore(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +275,8 @@ func TestStoreGCNeverResurrectsQuarantined(t *testing.T) {
 			t.Fatalf("quarantined %s resurrected after reopen: %+v", v1.ID, rec)
 		}
 	}
-	if _, v, err := s2.LoadActive(); err != nil || v.ID != v2.ID {
-		t.Fatalf("LoadActive after GC = %s, %v; want %s", v.ID, err, v2.ID)
+	if _, v, err := s2.LoadActive(); err != nil || v.ID != v3.ID {
+		t.Fatalf("LoadActive after pruning = %s, %v; want %s", v.ID, err, v3.ID)
 	}
 }
 

@@ -287,17 +287,6 @@ func AddTo(dst, a, b *Matrix) {
 	}
 }
 
-// SubTo computes dst = a-b elementwise. dst may alias a or b.
-//
-//perf:hot
-func SubTo(dst, a, b *Matrix) {
-	checkSameShape("Sub", a, b)
-	checkSameShape("SubTo", dst, a)
-	for i, v := range b.Data {
-		dst.Data[i] = a.Data[i] - v
-	}
-}
-
 // CopyInto copies src's elements into dst (shapes must match).
 //
 //perf:hot
@@ -320,17 +309,6 @@ func Scale(m *Matrix, s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// HadamardTo computes dst = a∘b elementwise. dst may alias a or b.
-//
-//perf:hot
-func HadamardTo(dst, a, b *Matrix) {
-	checkSameShape("Hadamard", a, b)
-	checkSameShape("HadamardTo", dst, a)
-	for i, v := range b.Data {
-		dst.Data[i] = a.Data[i] * v
-	}
 }
 
 // AddRowVector adds vector v to every row of m in place. len(v) must equal

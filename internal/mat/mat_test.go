@@ -130,14 +130,6 @@ func TestAddSubHadamard(t *testing.T) {
 	if !matricesEqual(dst, sum, 0) {
 		t.Error("AddTo wrong")
 	}
-	SubTo(dst, b, a)
-	if !matricesEqual(dst, FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
-		t.Error("SubTo wrong")
-	}
-	HadamardTo(dst, a, b)
-	if !matricesEqual(dst, FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
-		t.Error("HadamardTo wrong")
-	}
 	c := a.Clone()
 	AddInPlace(c, b)
 	if !matricesEqual(c, sum, 0) {

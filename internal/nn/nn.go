@@ -74,15 +74,6 @@ type Layer interface {
 	Params() []*Param
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row of x,
-// returning a new matrix. Hot paths use SoftmaxRowsInto with a caller-owned
-// destination instead.
-func SoftmaxRows(x *mat.Matrix) *mat.Matrix {
-	out := mat.New(x.Rows, x.Cols)
-	SoftmaxRowsInto(out, x)
-	return out
-}
-
 // SoftmaxRowsInto writes the row-wise softmax of x into dst. dst may alias
 // x (in-place): each row's max is read before any element is written, and
 // every element is read before being overwritten.
@@ -214,40 +205,6 @@ func (g *GELU) Backward(grad *mat.Matrix) *mat.Matrix {
 
 // Params implements Layer.
 func (g *GELU) Params() []*Param { return nil }
-
-// ReLU is the rectified linear activation.
-type ReLU struct {
-	x     *mat.Matrix
-	arena *mat.Arena
-}
-
-// Forward implements Layer.
-//
-//perf:hot
-func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
-	r.x = x
-	y := alloc(r.arena, x.Rows, x.Cols) // zeroed: only positives written below
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad *mat.Matrix) *mat.Matrix {
-	out := alloc(r.arena, grad.Rows, grad.Cols)
-	for i, v := range r.x.Data {
-		if v > 0 {
-			out.Data[i] = grad.Data[i]
-		}
-	}
-	return out
-}
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
 
 // Sequential chains layers.
 type Sequential struct {

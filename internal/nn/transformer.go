@@ -141,26 +141,26 @@ func (b *EncoderBlock) Params() []*Param {
 // ReconstructorConfig parameterizes the reconstruction model.
 type ReconstructorConfig struct {
 	// InputDim is the (reduced) metric count.
-	InputDim int
+	InputDim int `json:"-"`
 	// ModelDim is the token embedding width.
-	ModelDim int
+	ModelDim int `json:"model_dim"`
 	// Heads is the attention head count (3 in the paper's artifact).
-	Heads int
+	Heads int `json:"heads"`
 	// Hidden is the expert/FFN hidden width.
-	Hidden int
+	Hidden int `json:"hidden"`
 	// Blocks is the encoder depth (3 in the paper's artifact).
-	Blocks int
+	Blocks int `json:"blocks"`
 	// Experts is the MoE expert count (3 in the paper).
-	Experts int
+	Experts int `json:"experts"`
 	// TopK experts are combined per token (1 in the paper).
-	TopK int
+	TopK int `json:"top_k"`
 	// UseMoE selects sparse MoE (true) or dense FFN (ablation C5).
-	UseMoE bool
+	UseMoE bool `json:"-"`
 	// SegmentAwarePE enables the inter-segment positional component
 	// (disabled by ablation C4).
-	SegmentAwarePE bool
+	SegmentAwarePE bool `json:"-"`
 	// Seed initializes the weights.
-	Seed int64
+	Seed int64 `json:"-"`
 }
 
 // Defaults fills unset fields with the paper's artifact configuration.
@@ -245,8 +245,6 @@ func wireLayer(l Layer, a *mat.Arena) {
 	case *Dense:
 		v.arena = a
 	case *GELU:
-		v.arena = a
-	case *ReLU:
 		v.arena = a
 	case *LayerNorm:
 		v.arena = a

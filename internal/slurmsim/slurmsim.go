@@ -237,20 +237,6 @@ func SpansForNode(recs []Record, node string, horizon int64) []mts.JobSpan {
 	return out
 }
 
-// KindOf returns the workload kind of job id, or "" if unknown. Idle spans
-// (IdleJobID) report "idle".
-func KindOf(recs []Record, id int64) string {
-	if id == mts.IdleJobID {
-		return "idle"
-	}
-	for _, r := range recs {
-		if r.ID == id {
-			return r.Kind
-		}
-	}
-	return ""
-}
-
 // DurationStats summarizes the job-duration distribution: the fraction of
 // jobs shorter than each of the given thresholds (in seconds). This is the
 // statistic behind the paper's Fig. 4.

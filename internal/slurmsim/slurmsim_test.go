@@ -165,19 +165,6 @@ func TestFig4DurationShape(t *testing.T) {
 	}
 }
 
-func TestKindOf(t *testing.T) {
-	_, recs := simSmall(t)
-	if got := KindOf(recs, recs[0].ID); got != recs[0].Kind {
-		t.Errorf("KindOf = %q, want %q", got, recs[0].Kind)
-	}
-	if got := KindOf(recs, mts.IdleJobID); got != "idle" {
-		t.Errorf("KindOf(idle) = %q", got)
-	}
-	if got := KindOf(recs, 999999); got != "" {
-		t.Errorf("KindOf(unknown) = %q, want empty", got)
-	}
-}
-
 func TestEmptyConfig(t *testing.T) {
 	if Simulate(Config{}) != nil {
 		t.Error("empty config should produce no jobs")

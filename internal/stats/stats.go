@@ -26,23 +26,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// Variance returns the population variance of x, 0 for fewer than 2 samples.
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// Std returns the population standard deviation of x.
-func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // MeanStd returns mean and population standard deviation in one pass pair.
 func MeanStd(x []float64) (mean, std float64) {
 	mean = Mean(x)

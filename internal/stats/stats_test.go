@@ -21,7 +21,7 @@ func TestMeanStd(t *testing.T) {
 }
 
 func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 || Std(nil) != 0 {
+	if m, s := MeanStd(nil); Mean(nil) != 0 || m != 0 || s != 0 {
 		t.Error("empty-input moments should be 0")
 	}
 }

@@ -80,7 +80,7 @@ type incKey struct {
 //
 // holds: every observed alert either folded into exactly one incident or
 // was emitted raw. Overflow counts the subset of Raw spilled because the
-// pending ring was full.
+// pending buffer was full.
 type Stats struct {
 	Observed int64 `json:"observed"`
 	Folded   int64 `json:"folded"`
@@ -112,7 +112,7 @@ const (
 
 // Config parameterizes a Summarizer.
 type Config struct {
-	// Window is the batching horizon: Run flushes the pending ring every
+	// Window is the batching horizon: Run flushes the pending buffer every
 	// Window, so alerts within one window cluster together (default 5s).
 	Window time.Duration
 	// ResolveAfter resolves an open incident once it has absorbed no new
@@ -122,7 +122,7 @@ type Config struct {
 	// incident (default 3); smaller groups emit raw unless an incident
 	// for the family is already open.
 	MinGroup int
-	// PendingCap bounds the pending-event ring between flushes (default
+	// PendingCap bounds the pending-event buffer between flushes (default
 	// 4096). When full, Observe spills the oldest semantics-free: the
 	// incoming event is emitted raw immediately, keeping the accounting
 	// exact instead of blocking the alert consumer.
@@ -131,7 +131,7 @@ type Config struct {
 	// OnIncident, when non-nil, observes every lifecycle transition with
 	// an incident snapshot (safe to retain). OnRaw observes every event
 	// that did not fold. Both run on the flushing goroutine — and, for
-	// ring-overflow spills, on the Observe caller.
+	// buffer-overflow spills, on the Observe caller.
 	OnIncident func(Incident, Transition)
 	OnRaw      func(Event)
 
@@ -191,8 +191,8 @@ type Summarizer struct {
 	log *slog.Logger
 
 	mu       sync.Mutex
-	pend     []Event // preallocated ring
-	head, n  int
+	pend     []Event // preallocated pending buffer, pend[:n] live
+	n        int
 	open     map[string]*incState // metric family → live incident
 	resolved []Incident           // most recent last, ≤ resolvedKeep
 	stats    Stats
@@ -222,7 +222,7 @@ func New(cfg Config) *Summarizer {
 
 // Observe enqueues one alert-derived event for the next fold pass.
 //
-// not allocate. When the pending ring is full the event spills to the raw
+// not allocate. When the pending buffer is full the event spills to the raw
 // path via the OnRaw callback (a field call, off the lint closure) —
 // accounting stays exact and the caller never blocks on a fold.
 //
@@ -242,12 +242,12 @@ func (s *Summarizer) Observe(e Event) {
 		}
 		return
 	}
-	s.pend[(s.head+s.n)%len(s.pend)] = e
+	s.pend[s.n] = e
 	s.n++
 	s.mu.Unlock()
 }
 
-// Run flushes the pending ring every Window until ctx is canceled or
+// Run flushes the pending buffer every Window until ctx is canceled or
 // Close is called.
 func (s *Summarizer) Run(ctx context.Context) {
 	t := time.NewTicker(s.cfg.Window)
@@ -273,7 +273,7 @@ func (s *Summarizer) Close() {
 	})
 }
 
-// Flush runs one fold pass at now: drain the pending ring, group by
+// Flush runs one fold pass at now: drain the pending buffer, group by
 // metric family, fold each group into its open incident (or open a new
 // one when the group reaches MinGroup), emit the rest raw, then resolve
 // incidents quiet for ResolveAfter.
@@ -294,11 +294,8 @@ func (s *Summarizer) flush(now time.Time, closing bool) {
 	defer s.flushMu.Unlock()
 
 	s.mu.Lock()
-	batch := make([]Event, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		batch = append(batch, s.pend[(s.head+i)%len(s.pend)])
-	}
-	s.head, s.n = 0, 0
+	batch := append([]Event(nil), s.pend[:s.n]...)
+	s.n = 0
 
 	// Group by metric family, preserving deterministic family order.
 	groups := map[string][]Event{}

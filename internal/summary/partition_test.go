@@ -4,10 +4,33 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func ev(metric string, tags map[string]string) Event {
 	return Event{Metric: metric, Tags: tags}
+}
+
+// fold runs events through a summarizer as one batch and returns the one
+// incident it opens, so the tag partition under test is the one
+// incState.snapshot hands operators.
+func fold(t *testing.T, events []Event) Incident {
+	t.Helper()
+	var got []Incident
+	s := New(Config{MinGroup: 1, OnIncident: func(inc Incident, tr Transition) {
+		if tr != Opened {
+			t.Fatalf("transition %s, want only %s", tr, Opened)
+		}
+		got = append(got, inc)
+	}})
+	for _, e := range events {
+		s.Observe(e)
+	}
+	s.Flush(time.Unix(0, 0))
+	if len(got) != 1 {
+		t.Fatalf("%d incidents opened, want 1", len(got))
+	}
+	return got[0]
 }
 
 // Single-dimension variation: 6 disk events with different device values →
@@ -20,7 +43,7 @@ func TestPartitionTags_SingleDimension(t *testing.T) {
 			"host":   "node-1",
 		}))
 	}
-	p := PartitionTags(events)
+	p := fold(t, events)
 	if want := map[string]string{"host": "node-1"}; !reflect.DeepEqual(p.ConstantTags, want) {
 		t.Fatalf("constant = %v, want %v", p.ConstantTags, want)
 	}
@@ -30,7 +53,7 @@ func TestPartitionTags_SingleDimension(t *testing.T) {
 	if len(p.VaryingTags) != 1 {
 		t.Fatalf("varying keys = %v, want only device", p.VaryingTags)
 	}
-	if dim := p.Dimension(); dim != "device" {
+	if dim := p.Dimension; dim != "device" {
 		t.Fatalf("dimension = %q, want device", dim)
 	}
 }
@@ -46,7 +69,7 @@ func TestPartitionTags_MultiDimension(t *testing.T) {
 			"env":    "prod",
 		}))
 	}
-	p := PartitionTags(events)
+	p := fold(t, events)
 	if _, ok := p.VaryingTags["device"]; !ok {
 		t.Fatalf("device missing from varying: %v", p.VaryingTags)
 	}
@@ -57,7 +80,7 @@ func TestPartitionTags_MultiDimension(t *testing.T) {
 		t.Fatalf("env should stay constant: %v", p.ConstantTags)
 	}
 	// device has 4 distinct values vs host's 2: device is the dimension.
-	if dim := p.Dimension(); dim != "device" {
+	if dim := p.Dimension; dim != "device" {
 		t.Fatalf("dimension = %q, want device", dim)
 	}
 }
@@ -72,7 +95,7 @@ func TestPartitionTags_MixedConstantVarying(t *testing.T) {
 			"container_id": fmt.Sprintf("c-%04d", i),
 		}))
 	}
-	p := PartitionTags(events)
+	p := fold(t, events)
 	if want := map[string]string{"env": "prod"}; !reflect.DeepEqual(p.ConstantTags, want) {
 		t.Fatalf("constant = %v, want %v", p.ConstantTags, want)
 	}
@@ -84,21 +107,21 @@ func TestPartitionTags_MixedConstantVarying(t *testing.T) {
 // No tags: both maps empty (and non-nil, so JSON encodes as {}).
 func TestPartitionTags_NoTags(t *testing.T) {
 	events := []Event{ev("CPU", nil), ev("CPU", map[string]string{})}
-	p := PartitionTags(events)
+	p := fold(t, events)
 	if p.ConstantTags == nil || p.VaryingTags == nil {
 		t.Fatal("maps must be non-nil")
 	}
 	if len(p.ConstantTags) != 0 || len(p.VaryingTags) != 0 {
 		t.Fatalf("want empty maps, got constant=%v varying=%v", p.ConstantTags, p.VaryingTags)
 	}
-	if dim := p.Dimension(); dim != "" {
+	if dim := p.Dimension; dim != "" {
 		t.Fatalf("dimension = %q, want empty", dim)
 	}
 }
 
 // Single event: every tag is constant — the degenerate case.
 func TestPartitionTags_SingleEvent(t *testing.T) {
-	p := PartitionTags([]Event{ev("Memory", map[string]string{
+	p := fold(t, []Event{ev("Memory", map[string]string{
 		"node": "node-7", "job": "8812", "level": "Memory",
 	})})
 	want := map[string]string{"node": "node-7", "job": "8812", "level": "Memory"}
@@ -127,7 +150,7 @@ func TestPartitionTags_RealFleetScenario(t *testing.T) {
 		}
 		events = append(events, ev("Memory", tags))
 	}
-	p := PartitionTags(events)
+	p := fold(t, events)
 	if p.ConstantTags["job"] != "8812" || p.ConstantTags["level"] != "Memory" {
 		t.Fatalf("job/level should be constant: %v", p.ConstantTags)
 	}
@@ -145,7 +168,7 @@ func TestPartitionTags_RealFleetScenario(t *testing.T) {
 	if _, ok := p.VaryingTags["gpu"]; !ok {
 		t.Fatalf("gpu missing from varying: %v", p.VaryingTags)
 	}
-	if dim := p.Dimension(); dim != "node" {
+	if dim := p.Dimension; dim != "node" {
 		t.Fatalf("dimension = %q, want node", dim)
 	}
 }

@@ -61,50 +61,6 @@ type TagPartition struct {
 	VaryingTags map[string][]string
 }
 
-// PartitionTags partitions the label keys of events into constant vs
-// varying. A key is constant iff it appears on every event with exactly
-// one value; otherwise it is varying and carries the sorted distinct
-// values seen. No events → both maps empty; a single event → all its
-// tags constant (the degenerate case).
-func PartitionTags(events []Event) TagPartition {
-	part := TagPartition{
-		ConstantTags: map[string]string{},
-		VaryingTags:  map[string][]string{},
-	}
-	if len(events) == 0 {
-		return part
-	}
-	type keyState struct {
-		seen   map[string]struct{}
-		values []string
-		count  int
-	}
-	states := map[string]*keyState{}
-	for _, e := range events {
-		for k, v := range e.Tags {
-			st, ok := states[k]
-			if !ok {
-				st = &keyState{seen: map[string]struct{}{}}
-				states[k] = st
-			}
-			st.count++
-			if _, dup := st.seen[v]; !dup {
-				st.seen[v] = struct{}{}
-				st.values = append(st.values, v)
-			}
-		}
-	}
-	for k, st := range states {
-		if st.count == len(events) && len(st.values) == 1 {
-			part.ConstantTags[k] = st.values[0]
-			continue
-		}
-		sort.Strings(st.values)
-		part.VaryingTags[k] = st.values
-	}
-	return part
-}
-
 // Dimension returns the varying key the partition clusters over: the key
 // with the most distinct values, preferring "node" on ties (the fleet's
 // natural spread dimension), then the lexicographically smallest key.
