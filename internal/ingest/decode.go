@@ -53,22 +53,24 @@ type Decoder struct {
 	shape         *obs.Counter
 }
 
-// layout is a node's ordered metric names plus the name → column index
-// built once, when the layout is declared. A name declared twice fills
-// its first column only.
+// layout is a node's name and ordered metric names plus the name →
+// column index built once, when the layout is declared. A name declared
+// twice fills its first column only. node is the string a JSONL line
+// for the node passes on, so that decoding one allocates no name.
 type layout struct {
+	node  string
 	names []string
 	col   map[string]int
 }
 
-func newLayout(names []string) layout {
+func newLayout(node string, names []string) layout {
 	col := make(map[string]int, len(names))
 	for i, name := range names {
 		if _, dup := col[name]; !dup {
 			col[name] = i
 		}
 	}
-	return layout{names: names, col: col}
+	return layout{node: node, names: names, col: col}
 }
 
 // NewDecoder wraps a sink.
@@ -97,7 +99,7 @@ func NewDecoder(sink Sink, cfg DecoderConfig) *Decoder {
 // exposition pushes score against the exact layout the detector was
 // trained on rather than an auto-registered sorted one.
 func (d *Decoder) Register(node string, metrics []string) {
-	l := newLayout(append([]string(nil), metrics...))
+	l := newLayout(node, append([]string(nil), metrics...))
 	d.mu.Lock()
 	d.layouts[node] = l
 	d.mu.Unlock()
@@ -193,30 +195,39 @@ func (d *Decoder) fitByName(vec []float64, node string, group []telemetry.Series
 	return vec
 }
 
-// fitByPosition writes one JSONL sample into the node's declared width:
-// missing trailing columns become NaN (a dropped collector) and extra
-// ones are cut, both counted. Without this a hostile or buggy agent
+// fitByPosition fits one JSONL sample, in place, to its node's declared
+// width: missing trailing columns become NaN (a dropped collector) and
+// extra ones are cut, both counted. Without this a hostile or buggy agent
 // pushing a short vector for a registered node would reach frame
 // assembly with the wrong width. Unregistered nodes pass through at
 // their own width — the monitor discards their samples as unregistered.
-func (d *Decoder) fitByPosition(vec []float64, node string, values []JSONFloat) []float64 {
+// It returns the node's name (see declared) and the fitted vector.
+func (d *Decoder) fitByPosition(node []byte, vec []float64) (string, []float64) {
+	name, l, known := d.declared(node)
+	if !known || len(vec) == len(l.names) {
+		return name, vec
+	}
+	d.shape.Inc()
+	if d.cfg.Logger != nil {
+		d.cfg.Logger.Warn("sample shape mismatch", "node", name,
+			"got", len(vec), "want", len(l.names))
+	}
+	for len(vec) < len(l.names) {
+		vec = append(vec, math.NaN())
+	}
+	return name, vec[:len(l.names)]
+}
+
+// declared looks a node up without allocating. A declared node's name is
+// its layout's own string; any other is copied out of the line.
+func (d *Decoder) declared(node []byte) (string, layout, bool) {
 	d.mu.Lock()
-	l, known := d.layouts[node]
+	l, ok := d.layouts[string(node)]
 	d.mu.Unlock()
-	width := len(values)
-	if known && width != len(l.names) {
-		d.shape.Inc()
-		if d.cfg.Logger != nil {
-			d.cfg.Logger.Warn("sample shape mismatch", "node", node,
-				"got", width, "want", len(l.names))
-		}
-		width = len(l.names)
+	if !ok {
+		return string(node), l, false
 	}
-	vec = nanVec(vec, width)
-	for i, v := range values[:min(len(values), width)] {
-		vec[i] = float64(v)
-	}
-	return vec
+	return l.node, l, true
 }
 
 // layoutOf returns the node's layout, auto-registering the sorted,
@@ -233,7 +244,7 @@ func (d *Decoder) layoutOf(node string, group []telemetry.Series) layout {
 		names[i] = s.Name
 	}
 	slices.Sort(names)
-	l := newLayout(slices.Compact(names))
+	l := newLayout(node, slices.Compact(names))
 	d.layouts[node] = l
 	d.mu.Unlock()
 	d.autoReg.Inc()
@@ -247,11 +258,13 @@ func (d *Decoder) layoutOf(node string, group []telemetry.Series) layout {
 // PushJSONL decodes a stream of Line records (see Line for the wire
 // shapes). Lines are applied as they decode; the first malformed line
 // aborts with its line number, everything before it already ingested.
-// Returns the number of sample lines ingested.
+// Each line is scanned in one pass when it is in the Forwarder's
+// canonical form (jsonlLine.scan) and decoded by encoding/json
+// otherwise. Returns the number of sample lines ingested.
 func (d *Decoder) PushJSONL(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var vec []float64 // this call's scratch: see Sink.Ingest on ownership
+	var l jsonlLine // this call's scratch: see Sink.Ingest on ownership
 	n, ln := 0, 0
 	for sc.Scan() {
 		ln++
@@ -259,28 +272,33 @@ func (d *Decoder) PushJSONL(r io.Reader) (int, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var l Line
-		if err := json.Unmarshal(raw, &l); err != nil {
-			d.parseErrs.Inc()
-			return n, fmt.Errorf("ingest: jsonl line %d: %w", ln, err)
+		if !l.scan(raw) {
+			var line Line
+			if err := json.Unmarshal(raw, &line); err != nil {
+				d.parseErrs.Inc()
+				return n, fmt.Errorf("ingest: jsonl line %d: %w", ln, err)
+			}
+			l.setLine(line)
 		}
 		switch {
-		case l.Node == "":
+		case len(l.node) == 0:
 			d.parseErrs.Inc()
 			return n, fmt.Errorf("ingest: jsonl line %d: missing node", ln)
-		case len(l.Metrics) > 0:
-			d.Register(l.Node, l.Metrics)
-		case l.Job != nil:
-			d.sink.ObserveJob(l.Node, *l.Job, l.Start)
+		case len(l.metrics) > 0:
+			d.Register(string(l.node), l.metrics)
+		case l.hasJob:
+			node, _, _ := d.declared(l.node)
+			d.sink.ObserveJob(node, l.job, l.start)
 			d.jobs.Inc()
-		case l.Values != nil:
-			ts := l.Time
+		case l.hasValues:
+			ts := l.time
 			if ts == 0 {
 				ts = d.cfg.Now()
 				d.clockFallback.Inc()
 			}
-			vec = d.fitByPosition(vec, l.Node, l.Values)
-			d.sink.Ingest(l.Node, ts, vec)
+			var node string
+			node, l.values = d.fitByPosition(l.node, l.values)
+			d.sink.Ingest(node, ts, l.values)
 			d.samples.Inc()
 			n++
 		default:

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -380,5 +381,47 @@ func TestDecoderScratchIsCopiedByRouter(t *testing.T) {
 	want := []string{"reg n [a b]", "ing n 60 [1 2]", "ing n 120 [3 4]", "ing n 180 [5 NaN]", "ing n 240 [6 7]", "ing n 300 [8 9]"}
 	if got := sink.all(); !slices.Equal(got, want) {
 		t.Errorf("delivered %q, want %q: a queued vector aliased the decoder's scratch", got, want)
+	}
+}
+
+// TestPushJSONLAllocations pins what decoding a JSONL body costs between
+// the body and the sink, for declared nodes: the Scanner's buffer and the
+// one scratch vector, once per body — nothing per line and nothing per
+// sample (encoding/json: ≈ 14 a sample).
+func TestPushJSONLAllocations(t *testing.T) {
+	const nodes, width = 8, 50
+	layout := make([]string, width)
+	for m := range layout {
+		layout[m] = fmt.Sprintf("m%02d", m)
+	}
+	dec := testDecoder(nopSink{}, nil)
+	for i := 0; i < nodes; i++ {
+		dec.Register(fmt.Sprintf("cn-%04d", i), layout)
+	}
+	perBody := func(samples int) float64 {
+		job := int64(3)
+		b := appendLineJSON(nil, Line{Node: "cn-0000", Job: &job, Start: 60})
+		for i := 0; i < samples; i++ {
+			vals := make([]JSONFloat, width)
+			for m := range vals {
+				vals[m] = JSONFloat(float64(i*width+m) / 7)
+			}
+			vals[i%width] = JSONFloat(math.NaN())
+			b = appendLineJSON(b, Line{Node: fmt.Sprintf("cn-%04d", i%nodes), Time: int64(60 * (i + 1)), Values: vals})
+		}
+		body := string(b)
+		rd := strings.NewReader(body)
+		return testing.AllocsPerRun(10, func() {
+			rd.Reset(body)
+			if n, err := dec.PushJSONL(rd); err != nil || n != samples {
+				t.Fatalf("n=%d err=%v", n, err)
+			}
+		})
+	}
+	// The Scanner's 64 KiB buffer and the scratch vector, sized once on
+	// the body's first sample.
+	const want = 2
+	if small, large := perBody(8), perBody(64); small != want || large != want {
+		t.Errorf("PushJSONL: %v allocations for 8 samples, %v for 64; want %d for both", small, large, want)
 	}
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -74,7 +75,8 @@ type ForwarderConfig struct {
 	// Timeout bounds one send attempt (default 5 s).
 	Timeout time.Duration
 	// MaxRetries re-attempts a failed batch this many extra times
-	// before dropping it (default 3).
+	// before dropping it (default 3). A batch the gateway rejects — a
+	// 4xx other than 408 and 429 — is dropped at once.
 	MaxRetries int
 	// Backoff shapes the inter-attempt delays.
 	Backoff Backoff
@@ -263,8 +265,9 @@ func (f *Forwarder) run(done chan struct{}) {
 }
 
 // send delivers one batch, retrying per the backoff policy until ctx
-// expires or MaxRetries is exhausted; a batch that still fails is the
-// caller's to account.
+// expires or MaxRetries is exhausted; a batch the gateway rejected
+// (errRejected) is not retried. A batch that still fails is the caller's
+// to account.
 func (f *Forwarder) send(ctx context.Context, batch []Line) error {
 	f.encBuf = f.encBuf[:0]
 	for _, l := range batch {
@@ -290,12 +293,18 @@ func (f *Forwarder) send(ctx context.Context, batch []Line) error {
 		if f.cfg.Logger != nil {
 			f.cfg.Logger.Warn("forward attempt failed", "attempt", attempt+1, "err", last)
 		}
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || errors.Is(last, errRejected) {
 			return last
 		}
 	}
 	return last
 }
+
+// errRejected marks a gateway answer that resending the same body cannot
+// change: a 4xx other than 408 (timeout) and 429 (rate limit). The Intake
+// applies a JSONL body line by line before it answers 400 at a bad line,
+// so a retry would also apply every line before that one again.
+var errRejected = errors.New("ingest: gateway rejected batch")
 
 // post performs one delivery attempt under the per-attempt timeout.
 func (f *Forwarder) post(ctx context.Context, body []byte) error {
@@ -311,7 +320,10 @@ func (f *Forwarder) post(ctx context.Context, body []byte) error {
 		return err
 	}
 	defer func() { _ = resp.Body.Close() }() // body unread beyond status; close error is inert
-	if resp.StatusCode >= 300 {
+	switch code := resp.StatusCode; {
+	case code >= 400 && code < 500 && code != http.StatusRequestTimeout && code != http.StatusTooManyRequests:
+		return fmt.Errorf("%w: %s", errRejected, resp.Status)
+	case code >= 300:
 		return fmt.Errorf("ingest: gateway returned %s", resp.Status)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,5 +208,63 @@ func TestForwarderCloseIsIdempotent(t *testing.T) {
 	}
 	if err := f.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// forwardThroughIntake sends what feed appends, as one batch of three
+// lines, from a Forwarder to a real Intake, and returns the events that
+// reached the gateway's sink and the forwarder's counters.
+func forwardThroughIntake(t *testing.T, feed func(f *Forwarder)) ([]string, *obs.Registry) {
+	t.Helper()
+	sink := &recordSink{}
+	srv := httptest.NewServer(NewIntake(testDecoder(sink, nil), IntakeConfig{}).Handler())
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	f := NewForwarder(ForwarderConfig{
+		URL: srv.URL + "/push", MaxBatch: 3, MaxAge: time.Hour, MaxRetries: 3, Seed: 1,
+		Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond, Factor: 1},
+		Metrics: reg,
+	})
+	feed(f)
+	if err := f.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return sink.all(), reg
+}
+
+// TestForwarderDoesNotResendRejectedBatch: the Intake applies a JSONL
+// body line by line and answers 400 at the first bad line, so resending
+// the batch would apply every line before that one again. A rejected
+// batch is dropped at once, one failure and every line counted.
+func TestForwarderDoesNotResendRejectedBatch(t *testing.T) {
+	got, reg := forwardThroughIntake(t, func(f *Forwarder) {
+		f.Ingest("n", 60, []float64{1})
+		f.Ingest("", 120, []float64{2}) // no node: the gateway answers 400 here
+		f.Ingest("n", 180, []float64{3})
+	})
+	if want := []string{"ing n 60 [1]"}; !slices.Equal(got, want) {
+		t.Errorf("gateway applied %q, want %q once", got, want)
+	}
+	for name, want := range map[string]int64{"failures": 1, "retries": 0, "dropped": 3, "batches": 0} {
+		if v := reg.Counter("nodesentry_forward_" + name + "_total").Value(); v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+}
+
+// TestForwarderDeliversZeroWidthSample: Ingest with no values is a sample
+// of width zero, and its line keeps "values":[] — without it the line has
+// no shape, and the gateway rejects the whole batch.
+func TestForwarderDeliversZeroWidthSample(t *testing.T) {
+	got, reg := forwardThroughIntake(t, func(f *Forwarder) {
+		f.Ingest("n", 60, []float64{1})
+		f.Ingest("n", 120, nil)
+		f.Ingest("n", 180, []float64{3})
+	})
+	if want := []string{"ing n 60 [1]", "ing n 120 []", "ing n 180 [3]"}; !slices.Equal(got, want) {
+		t.Errorf("gateway applied %q, want %q", got, want)
+	}
+	if v := reg.Counter("nodesentry_forward_dropped_total").Value(); v != 0 {
+		t.Errorf("dropped = %d, want 0", v)
 	}
 }

@@ -1,6 +1,10 @@
 package ingest
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,6 +46,32 @@ func (s *fuzzSink) Ingest(node string, ts int64, values []float64) {
 	}
 }
 
+// jsonlSeeds are FuzzPushJSONL's seed bodies; FuzzJSONLFastPath takes
+// their lines one by one.
+var jsonlSeeds = []string{
+	`{"node":"a","metrics":["m0","m1"]}` + "\n" + `{"node":"a","time":60,"values":[1,2]}`,
+	// Short and long vectors against a declared layout.
+	`{"node":"a","metrics":["m0","m1","m2"]}` + "\n" + `{"node":"a","time":60,"values":[1]}`,
+	`{"node":"a","metrics":["m0"]}` + "\n" + `{"node":"a","time":60,"values":[1,2,3]}`,
+	// Non-finite values travel as quoted strings.
+	`{"node":"a","time":60,"values":["NaN","+Inf","-Inf"]}`,
+	// Duplicate timestamps.
+	`{"node":"a","time":60,"values":[1]}` + "\n" + `{"node":"a","time":60,"values":[1]}`,
+	// Job transitions, idle id, zero time (clock fallback).
+	`{"node":"a","job":7,"start":1200}`,
+	`{"node":"a","job":-1,"start":0}`,
+	`{"node":"a","values":[0.5]}`,
+	// Malformed shapes.
+	`{node:`,
+	`{"node":""}`,
+	`{"node":"a"}`,
+	`{"time":60,"values":[1]}`,
+	`{"node":"a","values":[]}`,
+	"{\"node\":\"\xff\xfe\",\"values\":[1]}",
+	`{"node":"a","values":["nope"]}`,
+	"\n\n" + `{"node":"a","metrics":["m0"]}` + "\n\n",
+}
+
 // FuzzPushJSONL pins the JSONL decode path against hostile batches:
 // malformed JSON, NaN/Inf values, bad UTF-8 in labels, duplicate
 // timestamps, and — the historical panic — sample vectors narrower or
@@ -49,30 +79,7 @@ func (s *fuzzSink) Ingest(node string, ts int64, values []float64) {
 // emit a phantom (empty-name) node, and never hand a registered node a
 // mis-shaped vector.
 func FuzzPushJSONL(f *testing.F) {
-	seeds := []string{
-		`{"node":"a","metrics":["m0","m1"]}` + "\n" + `{"node":"a","time":60,"values":[1,2]}`,
-		// Short and long vectors against a declared layout.
-		`{"node":"a","metrics":["m0","m1","m2"]}` + "\n" + `{"node":"a","time":60,"values":[1]}`,
-		`{"node":"a","metrics":["m0"]}` + "\n" + `{"node":"a","time":60,"values":[1,2,3]}`,
-		// Non-finite values travel as quoted strings.
-		`{"node":"a","time":60,"values":["NaN","+Inf","-Inf"]}`,
-		// Duplicate timestamps.
-		`{"node":"a","time":60,"values":[1]}` + "\n" + `{"node":"a","time":60,"values":[1]}`,
-		// Job transitions, idle id, zero time (clock fallback).
-		`{"node":"a","job":7,"start":1200}`,
-		`{"node":"a","job":-1,"start":0}`,
-		`{"node":"a","values":[0.5]}`,
-		// Malformed shapes.
-		`{node:`,
-		`{"node":""}`,
-		`{"node":"a"}`,
-		`{"time":60,"values":[1]}`,
-		`{"node":"a","values":[]}`,
-		"{\"node\":\"\xff\xfe\",\"values\":[1]}",
-		`{"node":"a","values":["nope"]}`,
-		"\n\n" + `{"node":"a","metrics":["m0"]}` + "\n\n",
-	}
-	for _, s := range seeds {
+	for _, s := range jsonlSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
@@ -89,6 +96,75 @@ func FuzzPushJSONL(f *testing.F) {
 			t.Errorf("counted %d samples from %d lines", n, len(strings.Split(body, "\n")))
 		}
 	})
+}
+
+// FuzzJSONLFastPath holds the one-pass scanner to encoding/json, which
+// defines the format: whenever the scanner takes a line, json.Unmarshal
+// into Line must accept it too and agree on every field — the same
+// presence of values, and values bit for bit.
+func FuzzJSONLFastPath(f *testing.F) {
+	for _, body := range jsonlSeeds {
+		for _, line := range strings.Split(body, "\n") {
+			f.Add(line)
+		}
+	}
+	for _, l := range wireShapes() {
+		f.Add(string(appendLineJSON(nil, l)))
+	}
+	// Canonical lines spelled oddly, and lines only the library may take.
+	for _, line := range []string{
+		" {\t\"values\" : [ 1 , \"NaN\" ] ,\"node\":\"a\"\r} ",
+		`{"node":"a","values":[1],"values":[],"job":1,"job":-2}`,
+		`{"node":"a\tb","metrics":["x\u0079"]}`,
+		`{"Node":"a","values":[1]}`,
+		`{"node":"a","values":[1],"extra":0}`,
+		`{"node":"a","values":null}`,
+		`{"node":"a","time":1.0,"values":[1]}`,
+		`{"node":"a","values":["0x1p-2","1_0",-01,1e400]}`,
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		var got jsonlLine
+		if !got.scan([]byte(raw)) {
+			return
+		}
+		var want Line
+		if err := json.Unmarshal([]byte(raw), &want); err != nil {
+			t.Fatalf("fast path took %q, encoding/json rejects it: %v", raw, err)
+		}
+		if diff := fastPathDiff(got, want); diff != "" {
+			t.Errorf("%q: %s", raw, diff)
+		}
+	})
+}
+
+// fastPathDiff describes where a scanned line disagrees with the Line
+// encoding/json decoded from the same bytes, or returns "".
+func fastPathDiff(got jsonlLine, want Line) string {
+	wantJob := int64(0)
+	if want.Job != nil {
+		wantJob = *want.Job
+	}
+	switch {
+	case string(got.node) != want.Node:
+		return fmt.Sprintf("node %q, want %q", got.node, want.Node)
+	case got.time != want.Time || got.start != want.Start:
+		return fmt.Sprintf("time/start %d/%d, want %d/%d", got.time, got.start, want.Time, want.Start)
+	case got.hasJob != (want.Job != nil) || got.job != wantJob:
+		return fmt.Sprintf("job %v %d, want %v", got.hasJob, got.job, want.Job)
+	case !slices.Equal(got.metrics, want.Metrics):
+		return fmt.Sprintf("metrics %q, want %q", got.metrics, want.Metrics)
+	case got.hasValues != (want.Values != nil) || len(got.values) != len(want.Values):
+		return fmt.Sprintf("values %v (present %v), want %v (present %v)",
+			got.values, got.hasValues, want.Values, want.Values != nil)
+	}
+	for i, v := range want.Values {
+		if math.Float64bits(got.values[i]) != math.Float64bits(float64(v)) {
+			return fmt.Sprintf("value %d = %v, want %v", i, got.values[i], float64(v))
+		}
+	}
+	return ""
 }
 
 // FuzzPushExposition pins the exposition decode path against hostile

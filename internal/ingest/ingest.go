@@ -143,7 +143,10 @@ func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 // appendLineJSON appends l's JSONL wire encoding — byte-for-byte what
 // json.Encoder produces for Line, trailing newline included — without
 // the per-value reflection and digit-buffer allocations that dominate a
-// sustained feed. TestAppendLineJSONMatchesEncodingJSON pins the parity.
+// sustained feed. TestAppendLineJSONMatchesEncodingJSON pins the parity
+// and its one exception: a non-nil empty Values, which omitempty would
+// drop, is written as "values":[] so that a zero-width sample stays a
+// sample.
 func appendLineJSON(b []byte, l Line) []byte {
 	b = append(b, `{"node":`...)
 	b = appendJSONString(b, l.Node)
@@ -151,7 +154,7 @@ func appendLineJSON(b []byte, l Line) []byte {
 		b = append(b, `,"time":`...)
 		b = strconv.AppendInt(b, l.Time, 10)
 	}
-	if len(l.Values) > 0 {
+	if l.Values != nil { // an empty vector is a zero-width sample, not no sample
 		b = append(b, `,"values":[`...)
 		for i, v := range l.Values {
 			if i > 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -52,12 +53,11 @@ func (r *recordSink) forNode(node string) []string {
 	return out
 }
 
-// TestAppendLineJSONMatchesEncodingJSON pins the Forwarder's hand-rolled
-// line encoder to json.Encoder byte-for-byte, across every wire shape,
-// non-finite values, and strings needing escapes.
-func TestAppendLineJSONMatchesEncodingJSON(t *testing.T) {
+// wireShapes is a Line of every wire shape the Forwarder sends, with
+// non-finite values and names that need escapes among them.
+func wireShapes() []Line {
 	job := int64(7)
-	lines := []Line{
+	return []Line{
 		{Node: "cn-1", Metrics: []string{"cpu_load", "mem_used"}},
 		{Node: "cn-1", Job: &job, Start: 1200},
 		{Node: "cn-1", Time: 1260, Values: []JSONFloat{0.4, JSONFloat(math.NaN()), 1e9}},
@@ -67,14 +67,71 @@ func TestAppendLineJSONMatchesEncodingJSON(t *testing.T) {
 		{Node: "zero-start", Job: &job},
 		{Node: "empty-vals", Time: 5, Values: []JSONFloat{}},
 	}
-	for _, l := range lines {
+}
+
+// TestAppendLineJSONMatchesEncodingJSON pins the Forwarder's hand-rolled
+// line encoder to json.Encoder byte-for-byte, across every wire shape,
+// non-finite values, and strings needing escapes.
+func TestAppendLineJSONMatchesEncodingJSON(t *testing.T) {
+	for _, l := range wireShapes() {
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(l); err != nil {
 			t.Fatalf("encode %+v: %v", l, err)
 		}
+		if l.Node == "empty-vals" {
+			// The one intended difference: json.Encoder drops an empty
+			// vector under omitempty, leaving a line with no shape that
+			// the gateway rejects, and the batch with it. A zero-width
+			// sample keeps its "values":[].
+			want.Reset()
+			want.WriteString(`{"node":"empty-vals","time":5,"values":[]}` + "\n")
+		}
 		got := appendLineJSON(nil, l)
 		if string(got) != want.String() {
 			t.Errorf("line %+v:\n got  %q\n want %q", l, got, want.String())
+		}
+	}
+}
+
+// TestFastPathTakesForwarderLines pins what the one-pass scanner must
+// cover: every line appendLineJSON writes for names it leaves unescaped —
+// each wire shape, NaN and ±Inf, the empty vector, and random samples and
+// job transitions — is taken on the fast path and decodes back to the
+// Line it came from. Names needing escapes or beyond ASCII are the
+// library's.
+func TestFastPathTakesForwarderLines(t *testing.T) {
+	lines := wireShapes()
+	rng := rand.New(rand.NewSource(1))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, -1e-300, 1e21, 123456789}
+	for i := 0; i < 500; i++ {
+		vals := make([]JSONFloat, rng.Intn(60))
+		for j := range vals {
+			switch rng.Intn(3) {
+			case 0:
+				vals[j] = JSONFloat(special[rng.Intn(len(special))])
+			case 1:
+				vals[j] = JSONFloat(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30)))
+			default:
+				vals[j] = JSONFloat(rng.Int63n(1e6))
+			}
+		}
+		node := fmt.Sprintf("cn-%04d.rack_%d", i, rng.Intn(9))
+		job := rng.Int63() - rng.Int63()
+		lines = append(lines,
+			Line{Node: node, Time: rng.Int63n(2e9), Values: vals},
+			Line{Node: node, Job: &job, Start: rng.Int63n(2e9)})
+	}
+	for _, l := range lines {
+		raw := appendLineJSON(nil, l)
+		if bytes.ContainsFunc(raw, func(r rune) bool { return r == '\\' || r > '~' }) {
+			continue
+		}
+		var got jsonlLine
+		if !got.scan(bytes.TrimSpace(raw)) {
+			t.Errorf("fast path refused %q", raw)
+		} else if diff := fastPathDiff(got, l); diff != "" {
+			t.Errorf("%q: %s", raw, diff)
 		}
 	}
 }
