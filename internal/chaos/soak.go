@@ -551,11 +551,20 @@ func (s *soak) drive() error {
 			// cycles may legitimately sit inside its baseline.
 			reason = "chaos-scheduled"
 		}
+		// The span counts process-wide allocations, so the scrape schedule
+		// pauses for it and the last scrape's samples are applied first:
+		// the span then measures the retrain, not the traffic around it.
+		resumeScrapes := s.scrapeT.Hold()
+		if err := s.settle(); err != nil {
+			resumeScrapes()
+			return err
+		}
 		endRetrain := s.span("chaos_retrain")
 		t0 := time.Now()
 		_, err := mgr.RetrainNow(context.Background(), "chaos: "+reason)
 		s.rep.RetrainWall = time.Since(t0)
 		endRetrain()
+		resumeScrapes()
 		if err != nil {
 			return fmt.Errorf("chaos: retrain: %w", err)
 		}
@@ -673,7 +682,12 @@ func (s *soak) settle() error {
 	for {
 		seen := map[string]int{}
 		for _, st := range s.d.Monitor().Snapshot() {
-			seen[st.Node] = st.Buffered + st.Consumed
+			// Buffered alone counts a probe node's samples: a run sends it
+			// far fewer than one match window, so none has left the ring.
+			// Consumed is no count here — on a node's first sample the
+			// monitor sets it to the job-timeline offset (ts−jobStart)/Step,
+			// which would make one early probe satisfy every later wait.
+			seen[st.Node] = st.Buffered
 		}
 		ok := true
 		for _, p := range s.probes {

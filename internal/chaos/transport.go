@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -30,14 +31,104 @@ type Transport struct {
 	Counts *Counts
 
 	n atomic.Int64
+
+	mu sync.Mutex
+	// gate is non-nil while a Hold is in force; its release closes it.
+	gate chan struct{}
+	// inflight counts requests past the gate whose response body is not
+	// yet closed.
+	inflight int
 }
 
 // Requests returns how many requests have entered the transport,
 // including ones answered synthetically.
 func (t *Transport) Requests() int64 { return t.n.Load() }
 
+// Hold parks every request that arrives until release is called, and
+// returns once the requests already past it have closed their response
+// bodies. A parked request goes through anyway when its context is within
+// a second of its deadline, so a long hold delays traffic but never fails
+// a request the fault ledger does not account for.
+func (t *Transport) Hold() (release func()) {
+	gate := make(chan struct{})
+	t.mu.Lock()
+	t.gate = gate
+	t.mu.Unlock()
+	for {
+		t.mu.Lock()
+		n := t.inflight
+		t.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() {
+		t.mu.Lock()
+		t.gate = nil
+		t.mu.Unlock()
+		close(gate)
+	}
+}
+
+// admit waits out a Hold and counts req in flight.
+func (t *Transport) admit(req *http.Request) {
+	t.mu.Lock()
+	gate := t.gate
+	if gate == nil {
+		t.inflight++
+		t.mu.Unlock()
+		return
+	}
+	t.mu.Unlock()
+	var expire <-chan time.Time
+	if deadline, ok := req.Context().Deadline(); ok {
+		timer := time.NewTimer(time.Until(deadline) - time.Second)
+		defer timer.Stop()
+		expire = timer.C
+	}
+	select {
+	case <-gate:
+	case <-expire:
+	case <-req.Context().Done():
+	}
+	t.mu.Lock()
+	t.inflight++
+	t.mu.Unlock()
+}
+
+func (t *Transport) finish() {
+	t.mu.Lock()
+	t.inflight--
+	t.mu.Unlock()
+}
+
+// finishingBody ends its request's flight when the client closes it.
+type finishingBody struct {
+	io.ReadCloser
+	once   sync.Once
+	finish func()
+}
+
+func (b *finishingBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.once.Do(b.finish)
+	return err
+}
+
 // RoundTrip applies the scheduled fault for this request index.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.admit(req)
+	resp, err := t.roundTrip(req)
+	if err != nil {
+		t.finish()
+		return resp, err
+	}
+	resp.Body = &finishingBody{ReadCloser: resp.Body, finish: t.finish}
+	return resp, nil
+}
+
+func (t *Transport) roundTrip(req *http.Request) (*http.Response, error) {
 	i := t.n.Add(1) - 1
 	kind := Pass
 	if len(t.Script) > 0 {

@@ -1,12 +1,14 @@
 package chaos_test
 
 import (
+	"context"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nodesentry/internal/chaos"
 	"nodesentry/internal/telemetry"
@@ -127,5 +129,84 @@ func TestListenerAcceptDrop(t *testing.T) {
 	}
 	if counts.Get(chaos.AcceptDrop) != 2 {
 		t.Errorf("ledger accept_drop = %d, want 2", counts.Get(chaos.AcceptDrop))
+	}
+}
+
+// TestTransportHold pins Hold's contract: it returns only once the request
+// already in flight has closed its body, it parks a request that arrives
+// until release, and a parked request near its deadline goes through
+// rather than fail.
+func TestTransportHold(t *testing.T) {
+	var arrived atomic.Int64
+	first := make(chan struct{})
+	unblock := make(chan struct{})
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if arrived.Add(1) == 1 {
+			close(first)
+			<-unblock
+		}
+		_, _ = io.WriteString(w, "ok\n")
+	}))
+	defer origin.Close()
+	tr := &chaos.Transport{Counts: chaos.NewCounts()}
+	client := &http.Client{Transport: tr}
+	defer client.CloseIdleConnections()
+	get := func(ctx context.Context, done chan<- error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, origin.URL, nil)
+		if err != nil {
+			done <- err
+			return
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			done <- err
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		done <- resp.Body.Close()
+	}
+
+	inFlight := make(chan error, 1)
+	go get(context.Background(), inFlight)
+	<-first
+	held := make(chan func(), 1)
+	go func() { held <- tr.Hold() }()
+	select {
+	case <-held:
+		t.Fatal("Hold returned while a request was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(unblock)
+	if err := <-inFlight; err != nil {
+		t.Fatalf("in-flight request: %v", err)
+	}
+	release := <-held
+
+	parked := make(chan error, 1)
+	go get(context.Background(), parked)
+	select {
+	case err := <-parked:
+		t.Fatalf("request finished during the hold (err %v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if n := arrived.Load(); n != 1 {
+		t.Fatalf("origin saw %d requests during the hold, want 1", n)
+	}
+	release()
+	if err := <-parked; err != nil {
+		t.Fatalf("parked request after release: %v", err)
+	}
+
+	release = tr.Hold()
+	defer release()
+	ctx, cancel := context.WithTimeout(context.Background(), 1200*time.Millisecond)
+	defer cancel()
+	near := make(chan error, 1)
+	go get(ctx, near)
+	if err := <-near; err != nil {
+		t.Fatalf("request near its deadline was not let through: %v", err)
+	}
+	if n := arrived.Load(); n != 3 {
+		t.Fatalf("origin saw %d requests, want 3", n)
 	}
 }

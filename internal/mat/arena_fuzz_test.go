@@ -41,40 +41,64 @@ func mustPanic(t *testing.T, op string, fn func()) {
 }
 
 // FuzzIntoKernels drives the caller-owned-destination kernels over random
-// shapes and pins three contracts at once: every kernel matches the naive
-// reference bit-for-tolerance, every kernel fully overwrites a poisoned
-// destination (no kernel reads its own destination), and the matmul
-// kernels reject destinations aliasing a source.
+// shapes and pins three contracts at once: every kernel reproduces its
+// reference formulation bit for bit (and the naive triple loop to
+// tolerance), every kernel fully overwrites a poisoned destination (no
+// kernel reads its own destination), and the matmul kernels reject
+// destinations aliasing a source. seed&3 picks the input: 1 zeroes every
+// third element of a, 2 also puts ±Inf and NaN in b under those zeros, and
+// 0 and 3 leave a dense.
 func FuzzIntoKernels(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(2))
 	f.Add(int64(7), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(42), uint8(17), uint8(9), uint8(33))
 	f.Add(int64(99), uint8(64), uint8(32), uint8(64))
+	// Every column tail of the four-wide blocks, on odd and even row
+	// counts, dense, with zeros, and with non-finite values under zeros.
+	for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 32, 64} {
+		f.Add(int64(4*c+c%3), uint8(c%5), uint8(19), uint8(c-1))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, rm, km, cm uint8) {
 		r := int(rm%48) + 1
 		k := int(km%48) + 1
-		c := int(cm%48) + 1
+		c := int(cm%64) + 1
 		rng := rand.New(rand.NewSource(seed))
 		a := randMatrix(rng, r, k)
 		b := randMatrix(rng, k, c)
+		switch seed & 3 {
+		case 1:
+			sparsify(a)
+		case 2:
+			sparsify(a)
+			poisonUnderZeros(a, b)
+		}
+		finite := seed&3 != 2
 
 		dst := New(r, c)
 		poison(dst)
 		MulInto(dst, a, b)
-		assertMatEq(t, "MulInto", dst, mulNaive(a, b), 1e-12)
+		ref := mulAxpyRef(a, b)
+		assertBitsEqual(t, "MulInto", dst, ref)
+		if finite {
+			assertMatEq(t, "MulInto", dst, mulNaive(a, b), 1e-12)
+		}
 
 		bt := b.T()
 		dst2 := New(r, c)
 		poison(dst2)
 		MulTInto(dst2, a, bt)
-		assertMatEq(t, "MulTInto", dst2, mulNaive(a, b), 1e-12)
+		assertBitsEqual(t, "MulTInto", dst2, mulTDotRef(a, bt))
+		if finite {
+			assertMatEq(t, "MulTInto", dst2, mulNaive(a, b), 1e-12)
+		}
 
-		// TMulInto(dst, aᵀ, b) computes (aᵀ)ᵀ×b == a×b, shape r×c.
+		// TMulInto(dst, aᵀ, b) computes (aᵀ)ᵀ×b == a×b, shape r×c, adding
+		// the same products in the same order as the ikj reference.
 		at := a.T()
 		dst3 := New(r, c)
 		poison(dst3)
 		TMulInto(dst3, at, b)
-		assertMatEq(t, "TMulInto", dst3, mulNaive(a, b), 1e-12)
+		assertBitsEqual(t, "TMulInto", dst3, ref)
 
 		// Elementwise kernels tolerate aliasing; still must fully overwrite.
 		e1 := randMatrix(rng, r, k)

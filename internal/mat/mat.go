@@ -3,8 +3,11 @@
 // repository to parallelize embarrassingly parallel loops.
 //
 // Matrices are row-major with a contiguous backing slice so that matmul
-// kernels stream memory predictably. Operations above a size threshold are
-// automatically split across runtime.GOMAXPROCS(0) goroutines.
+// kernels stream memory predictably. Every kernel runs on the calling
+// goroutine and starts none of its own, so its result never depends on the
+// core count. Parallelism lives one level up: offline loops hand
+// independent clusters, nodes and segments to Parallel or ParallelItems,
+// and the runtime scores each lane's windows on that lane's goroutine.
 package mat
 
 import (
@@ -120,10 +123,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// parallelThreshold is the flop count above which kernels fan out to the
-// worker pool; below it the goroutine overhead dominates.
-const parallelThreshold = 1 << 16
-
 // sharesBacking reports whether two slices come from the same backing
 // array. Extending both to capacity makes them end at the same final
 // element exactly when they share an allocation, so overlap is detected
@@ -147,9 +146,9 @@ func checkNoAlias(op string, dst, src *Matrix) {
 	}
 }
 
-// MulInto computes dst = a×b, parallelizing over row blocks of a when the
-// product is large. dst is fully overwritten and must not alias a or b.
-// Panics on dimension or aliasing errors.
+// MulInto computes dst = a×b on the calling goroutine. dst is fully
+// overwritten and must not alias a or b. Panics on dimension or aliasing
+// errors.
 //
 //perf:hot
 func MulInto(dst, a, b *Matrix) {
@@ -161,32 +160,110 @@ func MulInto(dst, a, b *Matrix) {
 	}
 	checkNoAlias("MulInto", dst, a)
 	checkNoAlias("MulInto", dst, b)
-	dst.Zero()
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
-		mulRange(a, b, dst, 0, a.Rows)
-		return
-	}
-	Parallel(a.Rows, func(lo, hi int) { mulRange(a, b, dst, lo, hi) })
+	mulRange(a, b, dst)
 }
 
-// mulRange computes out rows [lo, hi) of a×b with an ikj loop order that
-// streams rows of b.
-func mulRange(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+// mulRange writes every element of out = a×b. Each element accumulates in
+// a register from +0, adding a[i][k]·b[k][j] in ascending k and skipping
+// a[i][k] == 0 — exactly the additions an ikj loop of Axpy calls over a
+// zeroed destination makes, so the bits are that loop's, 0·Inf included.
+// Two rows by four columns are carried at once: each b[k][j] load feeds two
+// rows and each a[i][k] four columns, and the eight sums stay in
+// registers for the whole k loop.
+func mulRange(a, b, out *Matrix) {
+	n, m := a.Cols, b.Cols
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
+		a0 := a.Data[i*n : (i+1)*n]
+		a1 := a.Data[(i+1)*n : (i+2)*n]
+		a1 = a1[:len(a0)]
+		o0 := out.Data[i*m : (i+1)*m]
+		o1 := out.Data[(i+1)*m : (i+2)*m]
+		o1 = o1[:len(o0)]
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			off := j
+			for k, x0 := range a0 {
+				bk := b.Data[off : off+4 : off+4]
+				off += m
+				if x0 != 0 {
+					s00 += x0 * bk[0]
+					s01 += x0 * bk[1]
+					s02 += x0 * bk[2]
+					s03 += x0 * bk[3]
+				}
+				if x1 := a1[k]; x1 != 0 {
+					s10 += x1 * bk[0]
+					s11 += x1 * bk[1]
+					s12 += x1 * bk[2]
+					s13 += x1 * bk[3]
+				}
 			}
-			Axpy(av, b.Row(k), orow)
+			o := o0[j : j+4 : j+4]
+			o[0], o[1], o[2], o[3] = s00, s01, s02, s03
+			o = o1[j : j+4 : j+4]
+			o[0], o[1], o[2], o[3] = s10, s11, s12, s13
+		}
+		for ; j < m; j++ {
+			var s0, s1 float64
+			off := j
+			for k, x0 := range a0 {
+				bv := b.Data[off]
+				off += m
+				if x0 != 0 {
+					s0 += x0 * bv
+				}
+				if x1 := a1[k]; x1 != 0 {
+					s1 += x1 * bv
+				}
+			}
+			o0[j], o1[j] = s0, s1
 		}
 	}
+	if i < a.Rows {
+		mulRow(a.Data[i*n:(i+1)*n], b, out.Data[i*m:(i+1)*m])
+	}
 }
 
-// MulTInto computes dst = a×bᵀ without materializing the transpose. dst is
-// fully overwritten and must not alias a or b.
+// mulRow is mulRange's one-row remainder: orow = arow×b, four columns at a
+// time, under the same accumulation order and zero skip.
+func mulRow(arow []float64, b *Matrix, orow []float64) {
+	m := b.Cols
+	j := 0
+	for ; j+4 <= m; j += 4 {
+		var s0, s1, s2, s3 float64
+		off := j
+		for _, x := range arow {
+			bk := b.Data[off : off+4 : off+4]
+			off += m
+			if x != 0 {
+				s0 += x * bk[0]
+				s1 += x * bk[1]
+				s2 += x * bk[2]
+				s3 += x * bk[3]
+			}
+		}
+		o := orow[j : j+4 : j+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; j < m; j++ {
+		var s float64
+		off := j
+		for _, x := range arow {
+			bv := b.Data[off]
+			off += m
+			if x != 0 {
+				s += x * bv
+			}
+		}
+		orow[j] = s
+	}
+}
+
+// MulTInto computes dst = a×bᵀ on the calling goroutine without
+// materializing the transpose. dst is fully overwritten and must not alias
+// a or b.
 //
 //perf:hot
 func MulTInto(dst, a, b *Matrix) {
@@ -198,30 +275,47 @@ func MulTInto(dst, a, b *Matrix) {
 	}
 	checkNoAlias("MulTInto", dst, a)
 	checkNoAlias("MulTInto", dst, b)
-	if a.Rows*a.Cols*b.Rows < parallelThreshold {
-		mulTRange(a, b, dst, 0, a.Rows)
-		return
-	}
-	Parallel(a.Rows, func(lo, hi int) { mulTRange(a, b, dst, lo, hi) })
+	mulTRange(a, b, dst)
 }
 
-// mulTRange computes out rows [lo, hi) of a×bᵀ. A top-level function (not a
-// closure) so the serial path of MulTInto allocates nothing.
-func mulTRange(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
+// mulTRange writes every element of out = a×bᵀ, four inner products at a
+// time: one load of a[i][k] feeds four rows of b. Each product keeps Dot's
+// single accumulator, index order and lack of a zero skip, so every
+// element has Dot's bits; the remainder columns call Dot itself.
+func mulTRange(a, b, out *Matrix) {
+	n := a.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*n : (i+1)*n]
 		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = Dot(arow, b.Row(j))
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0 := b.Data[j*n : (j+1)*n]
+			b1 := b.Data[(j+1)*n : (j+2)*n]
+			b2 := b.Data[(j+2)*n : (j+3)*n]
+			b3 := b.Data[(j+3)*n : (j+4)*n]
+			b0, b1, b2, b3 = b0[:len(arow)], b1[:len(arow)], b2[:len(arow)], b3[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, x := range arow {
+				s0 += x * b0[k]
+				s1 += x * b1[k]
+				s2 += x * b2[k]
+				s3 += x * b3[k]
+			}
+			o := orow[j : j+4 : j+4]
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
+			orow[j] = Dot(arow, b.Data[j*n:(j+1)*n])
 		}
 	}
 }
 
-// TMulInto computes dst = aᵀ×b without materializing the transpose. dst
-// is fully overwritten and must not
-// alias a or b. Not //perf:hot: the parallel path allocates per-chunk
-// locals (the deterministic chunk-ordered reduction needs them), and the
-// kernel sits on backward passes only.
+// TMulInto computes dst = aᵀ×b on the calling goroutine without
+// materializing the transpose. dst is fully overwritten and must not alias
+// a or b. Every output element sums over the rows of a in ascending order,
+// so the result does not depend on the machine's core count.
+//
+//perf:hot
 func TMulInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		failShape("TMul dimension mismatch: (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -231,39 +325,8 @@ func TMulInto(dst, a, b *Matrix) {
 	}
 	checkNoAlias("TMulInto", dst, a)
 	checkNoAlias("TMulInto", dst, b)
-	out := dst
-	out.Zero()
-	if a.Rows*a.Cols*b.Cols < parallelThreshold {
-		tmulRange(a, b, out, 0, a.Rows)
-		return
-	}
-	// Every output element sums over all rows of a, so workers accumulate
-	// into per-chunk locals that are merged in chunk order after the fan-out:
-	// the floating-point addition order — and therefore the result — depends
-	// only on the chunking, not on goroutine scheduling.
-	ck := chunks(a.Rows)
-	locals := make([]*Matrix, len(ck))
-	var wg sync.WaitGroup
-	for ci, c := range ck {
-		wg.Add(1)
-		go func(ci int, lo, hi int) {
-			defer wg.Done()
-			locals[ci] = New(out.Rows, out.Cols)
-			tmulRange(a, b, locals[ci], lo, hi)
-		}(ci, c[0], c[1])
-	}
-	wg.Wait()
-	for _, local := range locals {
-		for i, v := range local.Data {
-			out.Data[i] += v
-		}
-	}
-}
-
-// tmulRange accumulates rows [lo, hi) of a into dst += aᵀ×b. A top-level
-// function (not a closure) so the serial path of TMulInto allocates nothing.
-func tmulRange(a, b, dst *Matrix, lo, hi int) {
-	for k := lo; k < hi; k++ {
+	dst.Zero()
+	for k := 0; k < a.Rows; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)
 		for i, av := range arow {
@@ -333,8 +396,9 @@ func checkSameShape(op string, a, b *Matrix) {
 	}
 }
 
-// Dot returns the inner product of equal-length vectors x and y. Dot and
-// Axpy are the inner loops of the matmul kernels. Both take four elements
+// Dot returns the inner product of equal-length vectors x and y. Axpy is
+// TMulInto's inner loop, and Dot fills MulTInto's remainder columns and
+// sets the bits its four-wide loop must reproduce. Both take four elements
 // per iteration, for steadiness before speed: a one-element body is small
 // enough that it runs a third (Axpy) to a half (Dot) slower whenever the
 // linker happens to lay it across a 64-byte fetch line, and functions are
@@ -413,12 +477,6 @@ func SquaredDist(x, y []float64) float64 {
 // when all chunks finish. fn must be safe to run concurrently on disjoint
 // ranges. For n == 0 it returns immediately; for a single worker it calls fn
 // inline.
-//
-// The chunk bounds are computed inline rather than via chunks: this sits on
-// every hot kernel's path, and materializing the partition slice would be
-// one allocation per matmul. The math mirrors chunks exactly, so kernels
-// that need the explicit partition (TMul's chunk-ordered reduction) see the
-// same split.
 func Parallel(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -449,32 +507,6 @@ func Parallel(n int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// chunks partitions [0, n) into one contiguous {lo, hi} range per available
-// CPU (fewer when n is small). The partition depends only on n and
-// GOMAXPROCS, which keeps chunk-ordered reductions deterministic.
-func chunks(n int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	out := make([][2]int, 0, workers)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
 }
 
 // ParallelItems invokes fn(i) for every i in [0, n) using the worker pool.

@@ -31,6 +31,113 @@ func mulNaive(a, b *Matrix) *Matrix {
 	return out
 }
 
+// mulAxpyRef is the ikj formulation the register-blocked MulInto must
+// reproduce bit for bit: a zeroed destination, one Axpy per nonzero
+// a[i][k], k ascending.
+func mulAxpyRef(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			Axpy(av, b.Row(k), out.Row(i))
+		}
+	}
+	return out
+}
+
+// mulTDotRef is the formulation the four-wide MulTInto must reproduce bit
+// for bit: one Dot per output element.
+func mulTDotRef(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			out.Set(i, j, Dot(a.Row(i), b.Row(j)))
+		}
+	}
+	return out
+}
+
+// assertBitsEqual fails unless got and want hold the same float64 bit
+// patterns; NaN payloads included.
+func assertBitsEqual(t testing.TB, op string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", op, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element (%d,%d) = %v, reference gives %v", op, i/got.Cols, i%got.Cols, v, want.Data[i])
+		}
+	}
+}
+
+// sparsify zeroes every third element of m so the zero skip is exercised
+// in every row and column position.
+func sparsify(m *Matrix) {
+	for i := range m.Data {
+		if i%3 == 1 {
+			m.Data[i] = 0
+		}
+	}
+}
+
+// poisonUnderZeros puts ±Inf and NaN in the rows of b that the zero
+// entries of a would multiply: where a[i][k] == 0 for some i, b[k] gets a
+// non-finite value. The zero skip must keep them out of those rows' sums.
+func poisonUnderZeros(a, b *Matrix) {
+	bad := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for k := 0; k < a.Cols; k++ {
+		if a.At(0, k) == 0 {
+			for i := 0; i < a.Rows; i++ {
+				a.Set(i, k, 0)
+			}
+			for j := 0; j < b.Cols; j++ {
+				b.Set(k, j, bad[(k+j)%len(bad)])
+			}
+		}
+	}
+}
+
+// The blocked kernels must match the reference formulations exactly on
+// every column tail of the 4-wide blocks, on odd and even row counts, on
+// rows with zeros, and where a zero in a meets ±Inf or NaN in b.
+func TestKernelsMatchReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	cols := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 32, 64}
+	for _, rows := range []int{1, 2, 3, 7, 20} {
+		for _, inner := range []int{1, 3, 20, 48} {
+			for _, c := range cols {
+				for _, variant := range []string{"dense", "zeros", "nonfinite"} {
+					a := randMatrix(rng, rows, inner)
+					b := randMatrix(rng, inner, c)
+					switch variant {
+					case "zeros":
+						sparsify(a)
+					case "nonfinite":
+						sparsify(a)
+						poisonUnderZeros(a, b)
+					}
+					name := func(op string) string {
+						return op + "/" + variant
+					}
+					got := New(rows, c)
+					poison(got)
+					MulInto(got, a, b)
+					assertBitsEqual(t, name("MulInto"), got, mulAxpyRef(a, b))
+
+					bt := b.T()
+					gotT := New(rows, c)
+					poison(gotT)
+					MulTInto(gotT, a, bt)
+					assertBitsEqual(t, name("MulTInto"), gotT, mulTDotRef(a, bt))
+				}
+			}
+		}
+	}
+}
+
 // product and tproduct run the Into kernels under test into a fresh
 // destination.
 func product(a, b *Matrix) *Matrix {
@@ -71,9 +178,9 @@ func TestMulAgainstNaive(t *testing.T) {
 func TestMulParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randMatrix(rng, 80, 90)
-	b := randMatrix(rng, 90, 70) // 80*90*70 > parallelThreshold
+	b := randMatrix(rng, 90, 70) // 504,000 flops: every block and tail of the kernel
 	if !matricesEqual(product(a, b), mulNaive(a, b), 1e-9) {
-		t.Error("parallel MulInto mismatch")
+		t.Error("MulInto mismatch on a large product")
 	}
 }
 
@@ -95,9 +202,9 @@ func TestMulTAndTMul(t *testing.T) {
 func TestTMulParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randMatrix(rng, 120, 60)
-	b := randMatrix(rng, 120, 40)
+	b := randMatrix(rng, 120, 40) // 288,000 flops
 	if !matricesEqual(tproduct(a, b), product(a.T(), b), 1e-8) {
-		t.Error("parallel TMulInto mismatch")
+		t.Error("TMulInto mismatch on a large product")
 	}
 }
 

@@ -350,7 +350,7 @@ func TestClipGradients(t *testing.T) {
 }
 
 func TestPositionalEncodingDistinguishesSegments(t *testing.T) {
-	pe := &PositionalEncoding{Dim: 8, SegmentAware: true}
+	pe := NewPositionalEncoding(8, true)
 	a := mat.New(2, 8)
 	b := mat.New(2, 8)
 	pe.Apply(a, []int{0, 1}, []int{0, 0})

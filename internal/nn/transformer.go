@@ -11,11 +11,30 @@ import (
 // tokens, enhanced — as §3.4 describes — with a *segment* component so the
 // model can distinguish positions within a segment from positions across
 // the K segments concatenated into one training stream. Ablation C4
-// disables the segment component.
+// disables the segment component. Build it with NewPositionalEncoding.
 type PositionalEncoding struct {
 	Dim int
 	// SegmentAware enables the inter-segment encoding component.
 	SegmentAware bool
+	// freq[p] and segFreq[p] are the position and segment frequencies of
+	// the column pair 2p, 2p+1. They depend only on Dim, so
+	// NewPositionalEncoding computes them once for every forward pass.
+	freq, segFreq []float64
+}
+
+// NewPositionalEncoding returns the encoding for dim-wide tokens.
+func NewPositionalEncoding(dim int, segmentAware bool) *PositionalEncoding {
+	pe := &PositionalEncoding{
+		Dim:          dim,
+		SegmentAware: segmentAware,
+		freq:         make([]float64, (dim+1)/2),
+		segFreq:      make([]float64, (dim+1)/2),
+	}
+	for j := 0; j < dim; j += 2 {
+		pe.freq[j/2] = math.Pow(10000, -float64(j)/float64(dim))
+		pe.segFreq[j/2] = math.Pow(777, -float64(j)/float64(dim))
+	}
+	return pe
 }
 
 // Apply adds the encoding in place to x, where positions[i] is token i's
@@ -33,7 +52,7 @@ func (pe *PositionalEncoding) Apply(x *mat.Matrix, positions, segIDs []int) {
 		}
 		row := x.Row(t)
 		for j := 0; j < pe.Dim; j += 2 {
-			freq := math.Pow(10000, -float64(j)/float64(pe.Dim))
+			freq := pe.freq[j/2]
 			row[j] += math.Sin(float64(pos) * freq)
 			if j+1 < pe.Dim {
 				row[j+1] += math.Cos(float64(pos) * freq)
@@ -44,7 +63,7 @@ func (pe *PositionalEncoding) Apply(x *mat.Matrix, positions, segIDs []int) {
 			// distinct base so within- and between-segment positions are
 			// separable.
 			for j := 0; j < pe.Dim; j += 2 {
-				freq := math.Pow(777, -float64(j)/float64(pe.Dim))
+				freq := pe.segFreq[j/2]
 				row[j] += 0.5 * math.Sin(float64(seg)*freq)
 				if j+1 < pe.Dim {
 					row[j+1] += 0.5 * math.Cos(float64(seg)*freq)
@@ -206,7 +225,7 @@ func NewReconstructor(cfg ReconstructorConfig) (*Reconstructor, error) {
 	r := &Reconstructor{
 		Config: cfg,
 		embed:  NewDense(cfg.InputDim, cfg.ModelDim, rng),
-		pe:     &PositionalEncoding{Dim: cfg.ModelDim, SegmentAware: cfg.SegmentAwarePE},
+		pe:     NewPositionalEncoding(cfg.ModelDim, cfg.SegmentAwarePE),
 		decode: NewDense(cfg.ModelDim, cfg.InputDim, rng),
 	}
 	for i := 0; i < cfg.Blocks; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nodesentry/internal/mat"
@@ -94,5 +95,28 @@ func TestBackwardAfterBatchedForwardOfAnotherShape(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestForwardWindowsAllocatesNothing pins the serial kernels' point: once
+// the arena has seen a batch, a batched forward on the scoring shapes
+// starts no goroutine and allocates nothing, on a machine with more than
+// one core as on one with a single core.
+func TestForwardWindowsAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const W, B, dim = 20, 8, 40
+	r := mustReconstructor(t, ReconstructorConfig{InputDim: dim, ModelDim: 48, Heads: 2, Hidden: 64,
+		Blocks: 2, Experts: 3, TopK: 1, UseMoE: true, SegmentAwarePE: true, Seed: 1})
+	x := randInput(rand.New(rand.NewSource(8)), B*W, dim)
+	positions := make([]int, B*W)
+	segIDs := make([]int, B*W)
+	for i := range positions {
+		positions[i] = i % W
+		segIDs[i] = i / W % 2
+	}
+	r.ForwardWindows(x, W, positions, segIDs) // grows the arena
+	r.ForwardWindows(x, W, positions, segIDs) // the Reset in here keeps it
+	if allocs := testing.AllocsPerRun(10, func() { r.ForwardWindows(x, W, positions, segIDs) }); allocs != 0 {
+		t.Fatalf("ForwardWindows on %d stacked windows: %v allocations a call, want 0", B, allocs)
 	}
 }

@@ -307,7 +307,10 @@ func FitStandardizer(frames map[string]*mts.NodeFrame, trim, clip float64) *Stan
 
 // Apply standardizes the frame in place using the node's fitted parameters
 // (or the fleet fallback) and clips to ±Clip. Zero-variance metrics map to
-// 0 rather than blowing up.
+// 0 rather than blowing up. It runs on the calling goroutine and allocates
+// nothing: the scoring path standardizes every window through it.
+//
+//perf:hot
 func (s *Standardizer) Apply(f *mts.NodeFrame) {
 	p, ok := s.PerNode[f.Node]
 	if !ok {
@@ -317,12 +320,12 @@ func (s *Standardizer) Apply(f *mts.NodeFrame) {
 	if clip <= 0 {
 		clip = 5
 	}
-	mat.ParallelItems(len(f.Data), func(m int) {
-		if m >= len(p.Mean) {
-			return
-		}
+	rows := f.Data
+	if len(rows) > len(p.Mean) {
+		rows = rows[:len(p.Mean)]
+	}
+	for m, row := range rows {
 		mu, sd := p.Mean[m], p.Std[m]
-		row := f.Data[m]
 		for t, v := range row {
 			var z float64
 			if sd > 0 {
@@ -335,7 +338,7 @@ func (s *Standardizer) Apply(f *mts.NodeFrame) {
 			}
 			row[t] = z
 		}
-	})
+	}
 }
 
 // Segment splits a frame at job transition points. spans must tile the

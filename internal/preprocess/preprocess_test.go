@@ -3,6 +3,7 @@ package preprocess
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -330,5 +331,30 @@ func TestEqualLengthChop(t *testing.T) {
 	}
 	if EqualLengthChop(f, 0) != nil {
 		t.Error("chunk 0 should yield nil")
+	}
+}
+
+// TestStandardizerApplyAllocatesNothing pins that standardizing a window,
+// which the scoring path does once per scored window, runs on the calling
+// goroutine without an allocation.
+func TestStandardizerApplyAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(6))
+	frame := &mts.NodeFrame{Node: "a", Start: 0, Step: 1}
+	for m := 0; m < 20; m++ {
+		row := make([]float64, 200)
+		for i := range row {
+			row[i] = float64(m) + rng.NormFloat64()
+		}
+		frame.Metrics = append(frame.Metrics, "m")
+		frame.Data = append(frame.Data, row)
+	}
+	s := FitStandardizer(map[string]*mts.NodeFrame{"a": frame}, 0.05, 5)
+	win := frame.Clone()
+	for m := range win.Data {
+		win.Data[m] = win.Data[m][:20]
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.Apply(win) }); allocs != 0 {
+		t.Fatalf("Standardizer.Apply on a 20x20 window: %v allocations, want 0", allocs)
 	}
 }
